@@ -5,7 +5,7 @@ use crate::CliError;
 use srlr_core::sizing::SizingExplorer;
 use srlr_core::SrlrDesign;
 use srlr_link::ber::BerTester;
-use srlr_link::montecarlo::{McEngine, McExperiment};
+use srlr_link::montecarlo::McExperiment;
 use srlr_link::{measure_eye, ComparisonTable, LinkConfig, LinkErrorModel, SrlrLink};
 use srlr_lint::{sarif, Config as LintConfig};
 use srlr_noc::traffic::Pattern;
@@ -25,8 +25,7 @@ pub fn help() -> String {
      \n\
      commands:\n\
        table1                           Table I + Sec. IV headline numbers\n\
-       fig6   [--runs N] [--threads T] [--engine batched|scalar]\n\
-              [--batch-width W]        Monte Carlo error probability vs swing\n\
+       fig6   [--runs N] [--threads T]  Monte Carlo error probability vs swing\n\
        fig8                             energy vs bandwidth density sweep\n\
        waveforms                        Fig. 4 transient waveforms (ASCII)\n\
        ber    [--bits N] [--gbps R]     PRBS bit-error-rate run\n\
@@ -330,18 +329,14 @@ pub fn table1() -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `srlr fig6 [--runs N] [--threads T] [--engine E] [--batch-width W]`
-/// plus the telemetry flags: the proposed-design sweep records one
-/// `trial` span per die. `--engine scalar` runs the one-die-at-a-time
-/// reference; both engines are bit-identical by contract.
+/// `srlr fig6 [--runs N] [--threads T]` plus the telemetry flags: the
+/// proposed-design sweep records one `trial` span per die.
 pub fn fig6(rest: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse_with_switches(
         rest,
         &[
             "runs",
             "threads",
-            "engine",
-            "batch-width",
             "trace-out",
             "metrics-out",
             "events-out",
@@ -354,26 +349,11 @@ pub fn fig6(rest: &[String]) -> Result<String, CliError> {
     if runs == 0 {
         return Err(CliError::Usage("--runs must be positive".into()));
     }
-    let mc_engine = match flags.get_str("engine") {
-        None | Some("batched") => McEngine::Batched,
-        Some("scalar") => McEngine::Scalar,
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "--engine must be 'batched' or 'scalar', got '{other}'"
-            )))
-        }
-    };
-    let batch_width: usize = flags.get_or("batch-width", 32)?;
-    if batch_width == 0 {
-        return Err(CliError::Usage("--batch-width must be positive".into()));
-    }
     let tel = TelemetryOpts::from_flags(&flags);
     let tech = Technology::soi45();
     let exp = McExperiment::paper_default(&tech)
         .with_runs(runs)
-        .with_threads(threads)
-        .with_engine(mc_engine)
-        .with_batch_width(batch_width);
+        .with_threads(threads);
     let mut out = format!("Monte Carlo over {runs} dice per point\n\n");
     let swings: Vec<Voltage> = (7..=11)
         .map(|i| Voltage::from_millivolts(f64::from(i) * 50.0))

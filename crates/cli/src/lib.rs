@@ -163,21 +163,14 @@ mod tests {
     }
 
     #[test]
-    fn fig6_engine_and_batch_width_do_not_change_the_answer() {
-        let batched = call(&["fig6", "--runs", "20"]).unwrap();
-        let scalar = call(&["fig6", "--runs", "20", "--engine", "scalar"]).unwrap();
-        let narrow = call(&["fig6", "--runs", "20", "--batch-width", "3"]).unwrap();
-        assert_eq!(batched, scalar, "--engine must not change the output");
-        assert_eq!(batched, narrow, "--batch-width must not change the output");
-    }
-
-    #[test]
-    fn fig6_rejects_bad_engine_and_width() {
-        let err = call(&["fig6", "--runs", "5", "--engine", "gpu"]).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)));
-        assert!(err.to_string().contains("gpu"));
-        let err = call(&["fig6", "--runs", "5", "--batch-width", "0"]).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)));
+    fn fig6_rejects_the_removed_engine_flags() {
+        // There is one Monte Carlo engine: engine selectors must be
+        // rejected as unknown flags, not silently ignored.
+        for flag in ["--engine", "--batch-width"] {
+            let err = call(&["fig6", "--runs", "5", flag, "1"]).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{flag}: {err}");
+            assert!(err.to_string().contains("unknown flag"), "{flag}: {err}");
+        }
     }
 
     #[test]

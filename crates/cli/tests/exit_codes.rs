@@ -54,6 +54,17 @@ fn conflicting_flags_exit_2() {
 }
 
 #[test]
+fn removed_fig6_engine_flag_exits_2() {
+    let out = run(&["fig6", "--runs", "5", "--engine", "scalar"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag `--engine`"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
 fn help_succeeds() {
     let out = run(&["help"]);
     assert_eq!(out.status.code(), Some(0));

@@ -60,7 +60,7 @@ fn fig6_profile_out_writes_a_folded_profile_and_does_not_perturb_stdout() {
     assert!(!lines.is_empty());
     let paths: Vec<&str> = lines.iter().map(|l| l.path.as_str()).collect();
     assert!(paths.contains(&"mc.sweep"), "root frame present: {paths:?}");
-    for frame in ["mc.batch", "elaborate", "certify", "kernel"] {
+    for frame in ["mc.trial", "elaborate", "certify", "simulate"] {
         assert!(
             paths.iter().any(|p| p.split(';').any(|f| f == frame)),
             "frame `{frame}` missing from {paths:?}"

@@ -49,13 +49,11 @@
 #![warn(missing_docs)]
 
 pub mod area;
-pub mod batch;
 pub mod crossbar;
 pub mod delay;
 pub mod design;
 pub mod driver;
 pub mod energy;
-pub(crate) mod kernel;
 pub mod modem;
 pub mod pulse;
 pub mod sizing;
@@ -63,7 +61,6 @@ pub mod stage;
 pub mod transient;
 
 pub use area::SrlrArea;
-pub use batch::DieBatch;
 pub use crossbar::SrlrCrossbar;
 pub use delay::{DelayCellDesign, DelayCellKind};
 pub use design::{SrlrChain, SrlrDesign};

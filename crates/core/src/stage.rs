@@ -15,7 +15,6 @@
 //! monotone pulse-width drift at global corners that the alternating delay
 //! cell, NMOS driver and adaptive swing scheme are designed to contain.
 
-use crate::kernel;
 use crate::pulse::{PulseState, StageOutcome};
 use srlr_units::{Capacitance, Energy, Resistance, TimeInterval, Voltage};
 
@@ -106,16 +105,24 @@ impl SrlrStage {
         (self.discharge_resistance + self.wire_resistance * 0.5) * self.wire_capacitance
     }
 
-    /// M1's discharge current at the given gate (input swing) voltage.
+    /// M1's discharge current (amperes) at the given gate (input swing)
+    /// voltage: the smoothed alpha-power law — `softplus`-blended
+    /// overdrive raised to `alpha`, with a subthreshold attenuation below
+    /// the threshold.
     #[inline]
     fn m1_current_amperes(&self, vgs: Voltage) -> f64 {
-        kernel::m1_current_amperes(
-            self.m1_vth.volts(),
-            self.m1_smooth,
-            self.m1_drive_scale,
-            self.m1_alpha,
-            vgs.volts(),
-        )
+        let overdrive = vgs.volts() - self.m1_vth.volts();
+        let x = overdrive / self.m1_smooth;
+        let eff = if x > 30.0 {
+            overdrive
+        } else {
+            self.m1_smooth * x.exp().ln_1p()
+        };
+        let mut i = self.m1_drive_scale * eff.powf(self.m1_alpha);
+        if x < 0.0 {
+            i *= (x / 1.4).exp();
+        }
+        i
     }
 
     /// Time for M1 to pull node X down through the amplifier threshold at
@@ -124,11 +131,10 @@ impl SrlrStage {
     /// detection fails gracefully rather than at a hard threshold.
     #[inline]
     pub fn x_discharge_time(&self, input_swing: Voltage) -> TimeInterval {
-        TimeInterval::from_seconds(kernel::x_discharge_seconds(
-            self.m1_current_amperes(input_swing),
-            self.keeper_current.amperes(),
-            self.c_x.farads() * self.x_discharge_depth.volts(),
-        ))
+        // Net pull-down current, floored at 1 pA so a keeper-dominated
+        // race gives a huge but finite time.
+        let i = (self.m1_current_amperes(input_swing) - self.keeper_current.amperes()).max(1e-12);
+        TimeInterval::from_seconds(self.c_x.farads() * self.x_discharge_depth.volts() / i)
     }
 
     /// The amplifier rising time for a given input swing: intrinsic rise
@@ -139,14 +145,16 @@ impl SrlrStage {
     }
 
     /// Far-end swing the outgoing segment delivers for an output pulse of
-    /// width `w`.
+    /// width `w`: the RC step response `V_drive · (1 − e^(−w/τ))`, zero
+    /// for non-positive widths.
     #[inline]
     pub fn delivered_swing(&self, w: TimeInterval) -> Voltage {
-        Voltage::from_volts(kernel::delivered_swing_volts(
-            self.drive_level.volts(),
-            self.charge_tau().seconds().max(1e-15),
-            w.seconds(),
-        ))
+        let w_s = w.seconds();
+        if w_s <= 0.0 {
+            return Voltage::zero();
+        }
+        let tau_s = self.charge_tau().seconds().max(1e-15);
+        Voltage::from_volts(self.drive_level.volts() * (1.0 - (-w_s / tau_s).exp()))
     }
 
     /// Energy of transmitting one pulse: wire charge drawn from the rail
@@ -157,13 +165,13 @@ impl SrlrStage {
         // the driver-dominated time constant.
         let tau_near =
             (self.charge_resistance + self.wire_resistance * 0.15) * self.wire_capacitance;
-        let wire = Energy::from_joules(kernel::wire_energy_joules(
-            self.drive_level.volts(),
-            tau_near.seconds().max(1e-15),
-            self.wire_capacitance.farads(),
-            self.vdd.volts(),
-            w.seconds(),
-        ));
+        let w_s = w.seconds();
+        let v_near = if w_s <= 0.0 {
+            0.0
+        } else {
+            self.drive_level.volts() * (1.0 - (-w_s / tau_near.seconds().max(1e-15)).exp())
+        };
+        let wire = Energy::from_joules(self.wire_capacitance.farads() * v_near * self.vdd.volts());
         wire + self.internal_energy_per_pulse
     }
 
@@ -334,6 +342,56 @@ mod tests {
         let out = stage.process(healthy_pulse());
         let e = out.energy.femtojoules();
         assert!(e > 30.0 && e < 200.0, "per-pulse energy {e} fJ");
+    }
+
+    #[test]
+    fn m1_current_is_monotone_in_vgs() {
+        let stage = nominal_stage();
+        let mut last = 0.0;
+        for mv in [100.0, 200.0, 280.0, 300.0, 350.0, 500.0, 2000.0] {
+            let i = stage.m1_current_amperes(Voltage::from_millivolts(mv));
+            assert!(i > last, "current must grow with vgs");
+            last = i;
+        }
+    }
+
+    #[test]
+    fn deep_saturation_uses_the_linear_overdrive() {
+        // x > 30 switches to the raw overdrive; the blend must be
+        // continuous enough that the two branches agree closely there.
+        let stage = nominal_stage();
+        let vgs = stage.m1_vth.volts() + 30.0 * stage.m1_smooth * 1.001;
+        let above = stage.m1_current_amperes(Voltage::from_volts(vgs));
+        let just_below = stage.m1_current_amperes(Voltage::from_volts(vgs * 0.9999));
+        assert!((above / just_below - 1.0).abs() < 1e-2);
+    }
+
+    #[test]
+    fn discharge_time_floors_the_net_current() {
+        // Keeper stronger than M1: the 1 pA floor keeps the time finite.
+        let mut stage = nominal_stage();
+        stage.keeper_current = srlr_units::Current::from_amperes(1.0);
+        let t = stage.x_discharge_time(Voltage::from_millivolts(300.0));
+        assert!(t.seconds().is_finite() && t.seconds() > 0.0);
+    }
+
+    #[test]
+    fn delivered_swing_is_zero_at_nonpositive_width() {
+        let stage = nominal_stage();
+        assert_eq!(stage.delivered_swing(TimeInterval::zero()), Voltage::zero());
+        assert_eq!(
+            stage.delivered_swing(TimeInterval::from_picoseconds(-1.0)),
+            Voltage::zero()
+        );
+    }
+
+    #[test]
+    fn dead_pulse_costs_only_internal_energy() {
+        let stage = nominal_stage();
+        assert_eq!(
+            stage.pulse_energy(TimeInterval::zero()),
+            stage.internal_energy_per_pulse
+        );
     }
 
     #[test]

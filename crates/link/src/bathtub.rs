@@ -10,8 +10,7 @@
 use crate::engine;
 use crate::link::{LinkConfig, SrlrLink};
 use crate::prbs::Prbs;
-use srlr_core::{DieBatch, SrlrDesign};
-use srlr_tech::montecarlo::GaussianRng;
+use srlr_core::SrlrDesign;
 use srlr_tech::{GlobalVariation, Technology};
 use srlr_units::{DataRate, TimeInterval};
 
@@ -95,70 +94,26 @@ pub fn rate_bathtub_with_threads(
         })
         .collect();
 
-    // Cells are batched: every (rate, seed) lane advances in lockstep
-    // through a DieBatch with its own PRBS stimulus and its own Gaussian
-    // noise stream (seeded exactly as the scalar per-cell transmit), so
-    // the curve is bit-identical to one `transmit_with_jitter` per cell.
-    // No certificate screening here — it only proves the *jitter-free*
+    // One (rate, seed) cell per work item: a jittered transmission of
+    // the seed's PRBS-7 stimulus with the seed's own Gaussian noise
+    // stream. No certificate here — it only proves the *jitter-free*
     // link clean — and no early exit: a bathtub counts every error.
-    const BATCH_WIDTH: usize = 32;
     let n_seeds = seeds as usize;
     let n_threads = engine::resolve_threads(threads);
-    let total = rates.len() * n_seeds;
-    let n_batches = total.div_ceil(BATCH_WIDTH);
-    let sigma_s = jitter_sigma.seconds();
-    let stages = links[0].chain().stages().len();
-    let chunks = engine::par_map_indexed(n_batches, n_threads, |b| {
-        let first = b * BATCH_WIDTH;
-        let count = BATCH_WIDTH.min(total - first);
-        let mut batch = DieBatch::new(stages, count);
-        let mut txs: Vec<Vec<bool>> = Vec::with_capacity(count);
-        let mut noise: Vec<GaussianRng> = Vec::with_capacity(count);
-        for lane in 0..count {
-            let i = first + lane;
-            let (point, seed) = (i / n_seeds, (i % n_seeds) as u64);
-            let link = &links[point];
-            batch.load_lane(
-                lane,
-                link.chain(),
-                link.config().data_rate.bit_period(),
-                link.config().demod_min_width,
-            );
-            // srlr-lint: allow(lossy-cast, reason = "seed % 126 + 1 is at most 126, well within u32")
-            txs.push(Prbs::prbs7_with_seed((seed % 126 + 1) as u32).take_bits(bits_per_seed));
-            noise.push(GaussianRng::new(seed));
-        }
-        let mut jitter = |lane: usize, w: TimeInterval| {
-            let jittered = w.seconds() + noise[lane].sample() * sigma_s;
-            TimeInterval::from_seconds(jittered.max(0.0))
-        };
-        let mut tx = vec![false; count];
-        let mut rx = vec![false; count];
-        let mut errors = vec![0usize; count];
-        for slot in 0..bits_per_seed {
-            for (t, lane_tx) in tx.iter_mut().zip(&txs) {
-                *t = lane_tx[slot];
-            }
-            batch.advance_slot_jittered(&tx, &mut rx, &mut jitter);
-            for ((e, &r), &t) in errors.iter_mut().zip(&rx).zip(&tx) {
-                if r != t {
-                    *e += 1;
-                }
-            }
-        }
-        errors
-            .into_iter()
-            .map(|e| (e, bits_per_seed))
-            .collect::<Vec<(usize, usize)>>()
+    let cells = engine::par_map_indexed(rates.len() * n_seeds, n_threads, |i| {
+        let seed = (i % n_seeds) as u64;
+        // srlr-lint: allow(lossy-cast, reason = "seed % 126 + 1 is at most 126, well within u32")
+        let tx = Prbs::prbs7_with_seed((seed % 126 + 1) as u32).take_bits(bits_per_seed);
+        let out = links[i / n_seeds].transmit_with_jitter(&tx, jitter_sigma, seed);
+        tx.iter().zip(&out.received).filter(|(a, b)| a != b).count()
     });
-    let cells = chunks.concat();
     rates
         .iter()
         .zip(cells.chunks(n_seeds))
         .map(|(&rate, chunk)| BathtubPoint {
             rate,
-            errors: chunk.iter().map(|&(e, _)| e).sum(),
-            bits: chunk.iter().map(|&(_, b)| b).sum(),
+            errors: chunk.iter().sum(),
+            bits: bits_per_seed * n_seeds,
         })
         .collect()
 }
@@ -258,9 +213,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_bathtub_matches_per_cell_scalar_transmission() {
-        // Every point must equal the straightforward per-cell jittered
-        // transmit it replaced, including the per-seed noise streams.
+    fn bathtub_matches_per_cell_scalar_transmission() {
+        // Every point must equal a straightforward serial loop of
+        // per-cell jittered transmits, including the per-seed noise
+        // streams.
         let tech = Technology::soi45();
         let design = SrlrDesign::paper_proposed(&tech);
         let rates: Vec<DataRate> = [4.1, 5.6, 6.2]
@@ -269,7 +225,7 @@ mod tests {
             .collect();
         let sigma = TimeInterval::from_picoseconds(3.0);
         let (bits_per_seed, seeds) = (200usize, 5u64);
-        let batched =
+        let curve =
             rate_bathtub_with_threads(&tech, &design, &rates, sigma, bits_per_seed, seeds, Some(1));
         let nominal = GlobalVariation::nominal();
         for (point, &rate) in rates.iter().enumerate() {
@@ -282,7 +238,7 @@ mod tests {
                 errors += tx.iter().zip(&out.received).filter(|(a, b)| a != b).count();
             }
             assert_eq!(
-                batched[point],
+                curve[point],
                 BathtubPoint {
                     rate,
                     errors,

@@ -1,7 +1,7 @@
 //! Conservative clean-link certificate: a per-die static analysis that
 //! proves (with margin) that a link transmits **every** bit pattern
-//! cleanly, so the batched Monte Carlo engine can skip exact simulation
-//! for the overwhelmingly common robust dice.
+//! cleanly, so the Monte Carlo trial and the shmoo cells can skip exact
+//! simulation for the overwhelmingly common robust dice.
 //!
 //! # The two monotone bounds
 //!
@@ -26,9 +26,10 @@
 //! orders above f64 rounding) on the *conservative* side, so a certified
 //! die is clean for the exact evaluator, not merely for real arithmetic.
 //! Failing to certify proves nothing — callers fall back to exact
-//! (batched) simulation, which is what keeps the batched engine
-//! bit-identical to the scalar path: the certificate only selects *which*
-//! evaluator runs, never what it computes.
+//! simulation ([`SrlrLink::transmits_cleanly`]). The certificate therefore
+//! only decides *whether* the exact evaluator runs, never what a trial
+//! reports: certified ⇒ the exact evaluator agrees, which the crate's
+//! reference tests check by running the exact evaluator on every die.
 
 use crate::link::SrlrLink;
 use srlr_units::{TimeInterval, Voltage};

@@ -19,6 +19,10 @@
 //!   available parallelism. `1` (or a single-item workload) degenerates to
 //!   a plain serial loop with no thread overhead.
 //!
+//! Every experiment maps exactly one die, shmoo cell or bathtub
+//! `(rate, seed)` cell per work item, so the thread count is the only
+//! scheduling knob.
+//!
 //! # Examples
 //!
 //! ```

@@ -51,7 +51,6 @@ pub mod engine;
 pub mod error_model;
 pub mod eye;
 pub mod link;
-pub(crate) mod lockstep;
 pub mod metrics;
 pub mod montecarlo;
 pub mod multicast;
@@ -68,6 +67,6 @@ pub use error_model::LinkErrorModel;
 pub use eye::{measure_eye, EyeReport};
 pub use link::{LinkConfig, SrlrLink, TransmitOutcome};
 pub use metrics::LinkMetrics;
-pub use montecarlo::{robustness_ratio, McEngine, McExperiment};
+pub use montecarlo::{robustness_ratio, McExperiment};
 pub use multicast::MulticastLink;
 pub use prbs::Prbs;

@@ -305,8 +305,8 @@ impl SrlrLink {
     /// fire a repeater spuriously (see the `certify` module's bounds).
     ///
     /// `true` is a proof (with a 1e-9 relative guard band over exact
-    /// f64 evaluation); `false` only means "unproven" — the batched
-    /// Monte Carlo engine falls back to exact simulation then.
+    /// f64 evaluation); `false` only means "unproven" — the Monte Carlo
+    /// trial falls back to exact simulation then.
     pub fn robustly_clean(&self) -> bool {
         crate::certify::robustly_clean(self)
     }

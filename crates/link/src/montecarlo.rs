@@ -14,23 +14,19 @@
 //! function of `(seed, i)` and the result is bit-identical at any thread
 //! count.
 //!
-//! # The batched hot path
+//! # The certified trial
 //!
-//! By default ([`McEngine::Batched`]) trials are evaluated in batches of
-//! [`McExperiment::batch_width`] dice: each die is first screened by the
-//! conservative clean-link certificate ([`SrlrLink::robustly_clean`]),
-//! and only the unproven dice are packed into a structure-of-arrays
-//! [`srlr_core::DieBatch`] that advances all of them through the stage map one bit
-//! slot at a time, with a per-lane alive mask standing in for the scalar
-//! early exit. Because the certificate is conservative and the batch
-//! evaluator shares its arithmetic with the scalar stage map (see
-//! [`srlr_core::batch`]), the batched engine is **bit-identical** to
-//! [`McEngine::Scalar`] — results and telemetry bytes — at every batch
-//! width and thread count, which the crate's identity tests assert.
+//! Each trial first elaborates its die and asks the conservative
+//! clean-link certificate ([`SrlrLink::robustly_clean`]) for a proof
+//! that the die transmits every bit pattern cleanly. A certified die
+//! passes without simulation; every other die runs the exact evaluator
+//! ([`SrlrLink::transmits_cleanly`]) on the stress patterns and its PRBS
+//! stimulus. The certificate is sound, so it only decides whether the
+//! exact evaluator runs, never what a trial reports — the crate's
+//! reference tests re-run the exact evaluator on every die to check it.
 
 use crate::engine;
 use crate::link::{LinkConfig, SrlrLink};
-use crate::lockstep::Lockstep;
 use crate::prbs::Prbs;
 use srlr_core::SrlrDesign;
 use srlr_tech::montecarlo::ErrorProbability;
@@ -46,17 +42,6 @@ const WORST_PATTERNS: [&[bool]; 3] = [
     &[true, true, true, true, false, true, true, true, true, false],
     &[true; 16],
 ];
-
-/// Which evaluator runs the per-die stress test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum McEngine {
-    /// One die at a time through the scalar stage map — the reference
-    /// implementation every batched result is checked against.
-    Scalar,
-    /// Certificate-screened, structure-of-arrays batches (the default):
-    /// an order of magnitude faster, bit-identical by contract.
-    Batched,
-}
 
 /// How a trial's telemetry span is shaped (single-design runs put every
 /// die on track 0; sweeps put each die on its sweep point's track).
@@ -81,12 +66,6 @@ pub struct McExperiment<'a> {
     /// Worker threads: `Some(n)` forces `n`, `None` defers to the
     /// `SRLR_THREADS` environment variable (and ultimately the machine).
     pub threads: Option<usize>,
-    /// Which evaluator runs the trials (default [`McEngine::Batched`]).
-    pub engine: McEngine,
-    /// Dice per [`srlr_core::DieBatch`] in the batched engine. Any width gives
-    /// identical results; it only trades scheduling granularity against
-    /// batching efficiency.
-    pub batch_width: usize,
 }
 
 impl<'a> McExperiment<'a> {
@@ -99,8 +78,6 @@ impl<'a> McExperiment<'a> {
             seed: 2013,
             prbs_bits: 256,
             threads: None,
-            engine: McEngine::Batched,
-            batch_width: 32,
         }
     }
 
@@ -133,45 +110,47 @@ impl<'a> McExperiment<'a> {
         self
     }
 
-    /// Selects the evaluator (default [`McEngine::Batched`]); results
-    /// are bit-identical either way.
-    #[must_use]
-    pub fn with_engine(mut self, engine: McEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Overrides the batched engine's dice-per-batch width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero.
-    #[must_use]
-    pub fn with_batch_width(mut self, width: usize) -> Self {
-        assert!(width > 0, "batch width must be at least one");
-        self.batch_width = width;
-        self
-    }
-
     /// Whether die `trial` of this experiment, built for `design`,
     /// transmits all stress patterns without error.
     ///
     /// This is the per-trial unit of work: a pure function of
-    /// `(self.seed, trial)`, independent of every other trial.
-    fn trial_passes(&self, design: &SrlrDesign, mc: &MonteCarlo, trial: u64) -> bool {
+    /// `(self.seed, trial)`, independent of every other trial. The die is
+    /// elaborated and certified first; only a certificate miss runs the
+    /// exact evaluator, stopping at the first corrupted pattern.
+    ///
+    /// Profiling lands in `prof` (free when disabled): `elaborate` and
+    /// `certify` frames with a `cert_hit`/`cert_miss` tally, plus a
+    /// `simulate` frame on every miss.
+    fn trial_passes(
+        &self,
+        design: &SrlrDesign,
+        mc: &MonteCarlo,
+        trial: u64,
+        prof: &mut Profiler,
+    ) -> bool {
+        prof.enter("elaborate");
         let mut die = mc.die(trial);
         let var = die.global_variation();
         let link = SrlrLink::on_die_with_mismatch(self.tech, design, self.config, &var, &mut die);
-        for p in WORST_PATTERNS {
-            if !link.transmits_cleanly(p) {
-                return false;
-            }
+        prof.exit();
+        prof.enter("certify");
+        let certified = link.robustly_clean();
+        prof.exit();
+        if certified {
+            prof.count("cert_hit");
+            return true;
         }
-        let bits = Prbs::prbs15_for_stream(self.seed, trial).take_bits(self.prbs_bits);
-        link.transmits_cleanly(&bits)
+        prof.count("cert_miss");
+        prof.enter("simulate");
+        let pass = WORST_PATTERNS.iter().all(|p| link.transmits_cleanly(p)) && {
+            let bits = Prbs::prbs15_for_stream(self.seed, trial).take_bits(self.prbs_bits);
+            link.transmits_cleanly(&bits)
+        };
+        prof.exit();
+        pass
     }
 
-    /// Records one die's telemetry span, identically for both engines.
+    /// Records one die's telemetry span.
     fn emit_trial_span(&self, child: &mut Collector, shape: TrialSpanShape, i: usize, pass: bool) {
         match shape {
             TrialSpanShape::Single => child.span(
@@ -201,187 +180,38 @@ impl<'a> McExperiment<'a> {
     }
 
     /// Pass/fail of every die in the flattened `designs × runs` workload,
-    /// dispatched to the configured engine.
+    /// one die per work item. Each worker records into a child collector
+    /// and profiler that merge back in item order, so the telemetry bytes
+    /// are identical at any thread count; disabled children are free.
     fn flat_passes(
         &self,
         designs: &[SrlrDesign],
         shape: TrialSpanShape,
         obs: &mut Obs,
     ) -> Vec<bool> {
-        match self.engine {
-            McEngine::Scalar => self.flat_passes_scalar(designs, shape, obs),
-            McEngine::Batched => self.flat_passes_batched(designs, shape, obs),
-        }
-    }
-
-    /// The scalar reference: one die per work item.
-    fn flat_passes_scalar(
-        &self,
-        designs: &[SrlrDesign],
-        shape: TrialSpanShape,
-        obs: &mut Obs,
-    ) -> Vec<bool> {
         let mc = MonteCarlo::new(self.tech, self.seed);
         let threads = engine::resolve_threads(self.threads);
         let total = designs.len() * self.runs;
-        if !obs.is_active() {
-            return engine::par_map_indexed(total, threads, |i| {
-                self.trial_passes(&designs[i / self.runs], &mc, (i % self.runs) as u64)
-            });
-        }
         let (collector, progress, profiler) = (&obs.collector, &obs.progress, &obs.profiler);
         let outcomes = engine::par_map_indexed(total, threads, |i| {
             let mut prof = profiler.child();
             prof.enter("mc.trial");
-            let pass = self.trial_passes(&designs[i / self.runs], &mc, (i % self.runs) as u64);
+            let design = &designs[i / self.runs];
+            let pass = self.trial_passes(design, &mc, (i % self.runs) as u64, &mut prof);
             prof.exit();
             progress.tick();
             let mut child = collector.child();
             self.emit_trial_span(&mut child, shape, i, pass);
             (pass, child, prof)
         });
-        let mut passes = Vec::with_capacity(total);
-        for (pass, child, prof) in outcomes {
-            obs.collector.merge(child);
-            obs.profiler.merge(prof);
-            passes.push(pass);
-        }
-        passes
-    }
-
-    /// The batched engine: one [`DieBatch`] per work item. Workers
-    /// record per-lane spans in flattened-index order into one child
-    /// collector per batch; children merge back in batch order, so the
-    /// telemetry byte stream equals the scalar engine's.
-    fn flat_passes_batched(
-        &self,
-        designs: &[SrlrDesign],
-        shape: TrialSpanShape,
-        obs: &mut Obs,
-    ) -> Vec<bool> {
-        let mc = MonteCarlo::new(self.tech, self.seed);
-        let threads = engine::resolve_threads(self.threads);
-        let total = designs.len() * self.runs;
-        let width = self.batch_width;
-        let n_batches = total.div_ceil(width);
-        if !obs.is_active() {
-            let chunks = engine::par_map_indexed(n_batches, threads, |b| {
-                let first = b * width;
-                self.eval_batch(
-                    designs,
-                    &mc,
-                    first,
-                    width.min(total - first),
-                    &mut Profiler::disabled(),
-                )
-            });
-            return chunks.concat();
-        }
-        let (collector, progress, profiler) = (&obs.collector, &obs.progress, &obs.profiler);
-        let outcomes = engine::par_map_indexed(n_batches, threads, |b| {
-            let first = b * width;
-            let mut prof = profiler.child();
-            let passes = self.eval_batch(designs, &mc, first, width.min(total - first), &mut prof);
-            let mut child = collector.child();
-            for (k, &pass) in passes.iter().enumerate() {
-                progress.tick();
-                self.emit_trial_span(&mut child, shape, first + k, pass);
-            }
-            (passes, child, prof)
-        });
-        let mut passes = Vec::with_capacity(total);
-        for (chunk, child, prof) in outcomes {
-            obs.collector.merge(child);
-            obs.profiler.merge(prof);
-            passes.extend(chunk);
-        }
-        passes
-    }
-
-    /// Evaluates the flattened trials `first..first + count` as one
-    /// batch: certificate-screen each die, then advance the unproven
-    /// ones in lockstep through the stress patterns.
-    ///
-    /// Profiling lands in `prof` (free when disabled): an `mc.batch`
-    /// frame wrapping per-die `elaborate`/`certify` frames with
-    /// `cert_hit`/`cert_miss` tallies (batch occupancy = misses per
-    /// batch), and a `kernel` frame whose `bit_slot`/`lane_kill`
-    /// children come from the lockstep harness. The timing sink is
-    /// exempt from the engine's telemetry-byte-identity contract — the
-    /// scalar engine has no batches to profile.
-    fn eval_batch(
-        &self,
-        designs: &[SrlrDesign],
-        mc: &MonteCarlo,
-        first: usize,
-        count: usize,
-        prof: &mut Profiler,
-    ) -> Vec<bool> {
-        let mut pass = vec![false; count];
-        prof.enter("mc.batch");
-        // Build each die exactly as the scalar trial does; certified
-        // dice are proven clean for every pattern and skip simulation.
-        let mut lanes: Vec<(usize, SrlrLink)> = Vec::new();
-        for (k, slot) in pass.iter_mut().enumerate() {
-            let i = first + k;
-            let (point, trial) = (i / self.runs, (i % self.runs) as u64);
-            prof.enter("elaborate");
-            let mut die = mc.die(trial);
-            let var = die.global_variation();
-            let link = SrlrLink::on_die_with_mismatch(
-                self.tech,
-                &designs[point],
-                self.config,
-                &var,
-                &mut die,
-            );
-            prof.exit();
-            prof.enter("certify");
-            let certified = link.robustly_clean();
-            prof.exit();
-            if certified {
-                prof.count("cert_hit");
-                *slot = true;
-            } else {
-                prof.count("cert_miss");
-                lanes.push((k, link));
-            }
-        }
-        if lanes.is_empty() {
-            prof.exit();
-            return pass;
-        }
-
-        prof.enter("kernel");
-        let mut run = Lockstep::new(&lanes);
-        for p in WORST_PATTERNS {
-            run.check_shared(p, prof);
-        }
-        prof.exit();
-        if self.prbs_bits > 0 && run.any_contending() {
-            // Per-lane PRBS stimulus, generated only for lanes still in
-            // contention.
-            prof.enter("prbs_gen");
-            let prbs: Vec<Option<Vec<bool>>> = lanes
-                .iter()
-                .enumerate()
-                .map(|(lane, (k, _))| {
-                    run.is_contending(lane).then(|| {
-                        let trial = ((first + k) % self.runs) as u64;
-                        Prbs::prbs15_for_stream(self.seed, trial).take_bits(self.prbs_bits)
-                    })
-                })
-                .collect();
-            prof.exit();
-            prof.enter("kernel");
-            run.check_per_lane(&prbs, self.prbs_bits, prof);
-            prof.exit();
-        }
-        for (lane, (k, _)) in lanes.iter().enumerate() {
-            pass[*k] = run.verdicts()[lane];
-        }
-        prof.exit();
-        pass
+        outcomes
+            .into_iter()
+            .map(|(pass, child, prof)| {
+                obs.collector.merge(child);
+                obs.profiler.merge(prof);
+                pass
+            })
+            .collect()
     }
 
     /// Runs the experiment for one design, returning the error
@@ -396,10 +226,10 @@ impl<'a> McExperiment<'a> {
     /// metrics, and `obs.progress` ticks once per die.
     ///
     /// When `obs` is inactive this *is* the untraced path — same code,
-    /// no allocation, bit-identical result. When active, workers record
-    /// into per-item child collectors that are merged back in item
-    /// order, so the telemetry bytes are identical at any thread count
-    /// (and across both engines).
+    /// no telemetry allocation, bit-identical result. When active,
+    /// workers record into per-item child collectors that are merged
+    /// back in item order, so the telemetry bytes are identical at any
+    /// thread count.
     pub fn error_probability_observed(
         &self,
         design: &SrlrDesign,
@@ -622,26 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_engine_matches_scalar_engine() {
-        // The other half of the contract: the default batched engine
-        // returns exactly what the scalar reference returns.
-        let tech = Technology::soi45();
-        let design = SrlrDesign::paper_proposed(&tech);
-        let base = McExperiment::paper_default(&tech).with_runs(120);
-        let scalar = base
-            .clone()
-            .with_engine(McEngine::Scalar)
-            .error_probability(&design);
-        for width in [1usize, 4, 32] {
-            let batched = base
-                .clone()
-                .with_batch_width(width)
-                .error_probability(&design);
-            assert_eq!(scalar, batched, "batch width {width} diverged");
-        }
-    }
-
-    #[test]
     fn parallel_sweep_matches_serial_sweep() {
         let tech = Technology::soi45();
         let design = SrlrDesign::paper_proposed(&tech);
@@ -663,13 +473,6 @@ mod tests {
     fn zero_runs_rejected() {
         let tech = Technology::soi45();
         let _ = McExperiment::paper_default(&tech).with_runs(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one")]
-    fn zero_batch_width_rejected() {
-        let tech = Technology::soi45();
-        let _ = McExperiment::paper_default(&tech).with_batch_width(0);
     }
 
     #[test]
@@ -786,23 +589,20 @@ mod tests {
         };
         assert_eq!(count_of("cert_hit") + count_of("cert_miss"), 120);
         assert_eq!(count_of("elaborate"), 120, "one elaboration per die");
-        // Kill-on-first-error retires every failing lane exactly once.
-        assert!(count_of("lane_kill") <= count_of("cert_miss"));
-        // 120 dice at batch width 32, two sweep points of 60: the
-        // flattened workload splits into 4 batches.
-        assert_eq!(count_of("mc.batch"), 4);
+        assert_eq!(count_of("mc.trial"), 120, "one trial frame per die");
+        // Exactly the certificate misses reach the exact evaluator.
+        assert_eq!(count_of("simulate"), count_of("cert_miss"));
     }
 
     #[test]
     fn per_die_screen_owns_the_most_self_time() {
         // The hotspot-attribution contract behind `srlr fig6
-        // --profile-out`: the certificate screen retires uncertified
-        // lanes within their first corrupted slot, so the lockstep
-        // kernel is nearly idle and the per-die screen (elaboration +
-        // certification) dominates wall-clock self time — the profile
-        // confirms ROADMAP's elaboration-headroom claim rather than
-        // the naive guess that the bit-slot loop is hot. The margin in
-        // practice is ~10x; assert a simple majority to stay robust to
+        // --profile-out`: the certificate passes healthy dice without
+        // simulation and a failing die usually corrupts its first
+        // stress pattern early, so `simulate` stays small and the
+        // per-die screen (elaboration + certification) dominates
+        // wall-clock self time — not the naive guess that the bit-slot
+        // loop is hot. Assert a simple majority to stay robust to
         // scheduler noise.
         use srlr_telemetry::{Clock, Profiler};
         let tech = Technology::soi45();

@@ -7,7 +7,6 @@
 
 use crate::engine;
 use crate::link::{LinkConfig, SrlrLink};
-use crate::lockstep::Lockstep;
 use crate::prbs::Prbs;
 use srlr_core::SrlrDesign;
 use srlr_tech::{GlobalVariation, Technology};
@@ -77,44 +76,15 @@ impl ShmooPlot {
             .map(|&swing| design.with_nominal_swing(swing))
             .collect();
 
-        // Cells are evaluated in certificate-screened batches: proven
-        // clean dies skip simulation, the rest run the stress patterns
-        // in one lockstep DieBatch per work item. Identical verdicts to
-        // per-cell `transmits_cleanly` (the batched-engine contract).
-        const BATCH_WIDTH: usize = 32;
+        // One cell per work item: a certified die skips simulation, the
+        // rest run the stress patterns through the exact evaluator.
         let cols = rates.len();
-        let total = swings.len() * cols;
         let n_threads = engine::resolve_threads(threads);
-        let n_batches = total.div_ceil(BATCH_WIDTH);
-        let chunks = engine::par_map_indexed(n_batches, n_threads, |b| {
-            let first = b * BATCH_WIDTH;
-            let count = BATCH_WIDTH.min(total - first);
-            let mut pass = vec![false; count];
-            let mut lanes: Vec<(usize, SrlrLink)> = Vec::new();
-            for (k, slot) in pass.iter_mut().enumerate() {
-                let i = first + k;
-                let (row, col) = (i / cols, i % cols);
-                let config = LinkConfig::paper_default().with_data_rate(rates[col]);
-                let link = SrlrLink::on_die(tech, &row_designs[row], config, var);
-                if link.robustly_clean() {
-                    *slot = true;
-                } else {
-                    lanes.push((k, link));
-                }
-            }
-            if !lanes.is_empty() {
-                let mut run = Lockstep::new(&lanes);
-                let mut prof = srlr_telemetry::Profiler::disabled();
-                for p in &stress {
-                    run.check_shared(p, &mut prof);
-                }
-                for (lane, (k, _)) in lanes.iter().enumerate() {
-                    pass[*k] = run.verdicts()[lane];
-                }
-            }
-            pass
+        let cells = engine::par_map_indexed(swings.len() * cols, n_threads, |i| {
+            let config = LinkConfig::paper_default().with_data_rate(rates[i % cols]);
+            let link = SrlrLink::on_die(tech, &row_designs[i / cols], config, var);
+            link.robustly_clean() || stress.iter().all(|p| link.transmits_cleanly(p))
         });
-        let cells = chunks.concat();
         let pass = cells.chunks(cols).map(<[bool]>::to_vec).collect();
         Self {
             swings,
@@ -278,9 +248,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_shmoo_matches_per_cell_scalar_transmission() {
-        // Every cell of the batched map must equal the straightforward
-        // one-link-at-a-time stress check it replaced.
+    fn shmoo_matches_per_cell_scalar_transmission() {
+        // Every cell of the map must equal the uncertified
+        // one-link-at-a-time stress check: the certificate may skip
+        // simulation but never change a verdict.
         let tech = Technology::soi45();
         let design = SrlrDesign::paper_proposed(&tech);
         let var = GlobalVariation::nominal();

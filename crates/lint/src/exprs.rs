@@ -458,8 +458,9 @@ impl<'a, 'b> ExprWalker<'a, 'b> {
         let prev = if i > 0 { self.text(i - 1) } else { "" };
         let (kind, qualifier) = if prev == "." {
             // A bare-`self` receiver pins the callee to the enclosing
-            // type: `self.step(…)` inside `impl Lockstep` is
-            // `Lockstep::step`, not every `step` in the workspace.
+            // type: `self.step_slot(…)` inside `impl SrlrLink` is
+            // `SrlrLink::step_slot`, not every `step_slot` in the
+            // workspace.
             if i >= 2 && self.text(i - 2) == "self" && owner.is_some() {
                 (CallKind::Path, owner.map(str::to_string))
             } else {

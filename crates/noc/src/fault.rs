@@ -707,7 +707,7 @@ mod tests {
 
     #[test]
     fn sampled_transmissions_replay_through_the_pure_automaton() {
-        // Lockstep with `crate::protocol`: every transmission the RNG-driven
+        // In lockstep with `crate::protocol`: every transmission the RNG-driven
         // fault model produces on a seeded run, replayed through the pure
         // automaton the model checker enumerates, must reproduce itself
         // bit-for-bit — attempts, NACKs, delay and delivery flags.

@@ -6,7 +6,7 @@
 //! count, and its total versus self time (total minus time attributed
 //! to child frames). Like the collector it is **zero-cost when
 //! disabled** — one `None` branch, no allocation — so instrumented hot
-//! loops (the batched MC kernel, the NoC step loop, the model checker)
+//! loops (the per-die MC trial, the NoC step loop, the model checker)
 //! pay nothing unless a `--profile-out` flag turned profiling on.
 //!
 //! # Determinism contract (DESIGN.md §8)
