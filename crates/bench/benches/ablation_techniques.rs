@@ -2,6 +2,12 @@
 //! delay cells, NMOS-based drivers, adaptive swing) across all eight
 //! combinations, plus the free-multicast energy accounting of Sec. II.
 
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::print_stdout,
+    reason = "bench target: it prints its report, and the panic, print and wall-clock lints cover library code only"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use srlr_bench::report;
 use srlr_core::{DelayCellDesign, DriverKind, SrlrDesign};

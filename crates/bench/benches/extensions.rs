@@ -2,6 +2,11 @@
 //! sweep, supply scaling, the jittered BER bathtub, and the bufferless
 //! (deflection) alternative from the paper's introduction.
 
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: it prints its report, and the panic, print and wall-clock lints cover library code only"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use srlr_bench::report;
 use srlr_core::SrlrDesign;

@@ -2,6 +2,11 @@
 //! pulse, node X's discharge/self-reset cycle, the full-swing output and
 //! the repeated low-swing pulse 1 mm downstream.
 
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: it prints its report, and the panic, print and wall-clock lints cover library code only"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use srlr_bench::report;
 use srlr_core::transient::SrlrTransientFixture;

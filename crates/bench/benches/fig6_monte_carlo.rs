@@ -2,6 +2,11 @@
 //! for the proposed and straightforward SRLR designs, including the
 //! paper's 3.7x immunity headline.
 
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: it prints its report, and the panic, print and wall-clock lints cover library code only"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use srlr_bench::report;
 use srlr_core::SrlrDesign;

@@ -1,6 +1,11 @@
 //! Fig. 8: 1 cm link-traversal energy versus bandwidth density — the
 //! SRLR spacing sweep against the published silicon-proven interconnects.
 
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: it prints its report, and the panic, print and wall-clock lints cover library code only"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use srlr_bench::{fig8_measured_series, fig8_published_points, report};
 use srlr_tech::Technology;

@@ -10,6 +10,12 @@
 //! key is an honest measurement but meaningless across runners, so the
 //! gate ignores it.
 
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "bench target: it prints its report, and the panic, print and wall-clock lints cover library code only"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use srlr_bench::report;
 use srlr_lint::rules::ALL_RULES;

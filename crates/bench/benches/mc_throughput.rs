@@ -10,6 +10,12 @@
 //! bench-smoke job regenerates and validates it with a reduced
 //! `SRLR_MC_RUNS`.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::print_stdout,
+    reason = "bench target: it prints its report, and the panic, print and wall-clock lints cover library code only"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use srlr_bench::{report, thread_ladder};
 use srlr_core::SrlrDesign;

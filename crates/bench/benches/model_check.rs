@@ -9,6 +9,11 @@
 //! so CI's perf-regression job gates the snapshot with `srlr
 //! bench-diff` at (near-)zero tolerance.
 
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: it prints its report, and the panic, print and wall-clock lints cover library code only"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use srlr_bench::report;
 use srlr_model::{check_pair, closed_form_delivery, verify, ModelConfig};

@@ -2,6 +2,11 @@
 //! evaluation curve, run for several traffic patterns), plus the
 //! express-channel trade-off of the paper's introduction.
 
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: it prints its report, and the panic, print and wall-clock lints cover library code only"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use srlr_bench::report;
 use srlr_noc::traffic::Pattern;

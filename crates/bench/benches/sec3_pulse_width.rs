@@ -2,6 +2,11 @@
 //! global corners, single vs alternating delay cells; plus the Sec. III-B
 //! inverter-driver failure modes on the `11110` worst case.
 
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: it prints its report, and the panic, print and wall-clock lints cover library code only"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use srlr_bench::report;
 use srlr_core::{DelayCellDesign, DriverKind, SrlrDesign};

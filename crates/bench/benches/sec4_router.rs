@@ -3,6 +3,11 @@
 //! fractions, the Sec. I published NoC breakdowns, and the full-swing vs
 //! SRLR datapath comparison on a live 8x8 mesh.
 
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: it prints its report, and the panic, print and wall-clock lints cover library code only"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use srlr_bench::report;
 use srlr_core::SrlrArea;

@@ -2,6 +2,12 @@
 //! reproduction's measured row, plus the Sec. IV headline measurements
 //! (max data rate, BER bound, link power, bias share).
 
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "bench target: it prints its report, and the panic, print and wall-clock lints cover library code only"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use srlr_bench::report;
 use srlr_core::SrlrDesign;

@@ -6,7 +6,10 @@
 //! can reuse it.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![allow(
+    clippy::print_stdout,
+    reason = "the bench harness is a reporting tool whose whole job is terminal output"
+)]
 
 pub mod fig8;
 pub mod ladder;

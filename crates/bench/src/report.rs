@@ -99,7 +99,15 @@ pub fn ascii_scatter(series: &[ScatterSeries<'_>], width: usize, height: usize) 
     let mut grid = vec![vec![' '; width]; height];
     for (_, symbol, pts) in series {
         for &(x, y) in pts {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "`as` saturates a NaN or negative coordinate to 0; the grid write clamps it"
+            )]
             let col = ((x - x0) / x_span * (width - 1) as f64).round() as usize;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "`as` saturates a NaN or negative coordinate to 0; the grid write clamps it"
+            )]
             let row = ((y1 - y) / y_span * (height - 1) as f64).round() as usize;
             grid[row.min(height - 1)][col.min(width - 1)] = *symbol;
         }

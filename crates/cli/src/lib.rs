@@ -15,13 +15,11 @@
 //! srlr noc-faults [--bers L | --swings MV] [--load F] [--threads T]
 //! srlr express [--interval K]
 //! srlr sizing                  M1/M2 design-space sweep
-//! srlr lint [--format sarif] [--deny-all]   workspace static analysis
 //! srlr profile --in FILE [--top N]          rank a folded profile
 //! srlr bench-diff --old A --new B [--tolerance F]   snapshot gate
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod args;
 pub mod commands;
@@ -76,7 +74,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         "temp" => commands::temp(),
         "bathtub" => commands::bathtub(rest),
         "crosstalk" => commands::crosstalk(),
-        "lint" => commands::lint(rest),
         "verify-noc" => commands::verify_noc(rest),
         "profile" => commands::profile(rest),
         "bench-diff" => commands::bench_diff(rest),
@@ -115,7 +112,6 @@ mod tests {
             "noc",
             "express",
             "sizing",
-            "lint",
             "verify-noc",
         ] {
             assert!(out.contains(cmd), "help must mention {cmd}");

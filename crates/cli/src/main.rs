@@ -4,6 +4,12 @@
 //! when an experiment fails to run, and `2` for usage errors (unknown
 //! commands, malformed flags) so scripts can tell the two apart.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary's job is terminal output"
+)]
+
 use srlr_cli::CliError;
 use std::process::ExitCode;
 

@@ -15,7 +15,10 @@
 //! back at it without touching any bench source.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "the timing shim is where wall-clock reads belong"
+)]
 
 use std::time::{Duration, Instant};
 
@@ -87,18 +90,23 @@ impl Bencher {
     }
 }
 
+#[expect(
+    clippy::print_stdout,
+    reason = "the criterion shim IS the bench reporter; its one job is terminal output"
+)]
 fn report(id: &str, samples: &[Duration]) {
     if samples.is_empty() {
-        // srlr-lint: allow(no-print, reason = "the criterion shim IS the bench reporter; its one job is terminal output")
         println!("{id:<44} (no samples)");
         return;
     }
     let (Some(min), Some(max)) = (samples.iter().min(), samples.iter().max()) else {
         return; // unreachable: the empty case returned above
     };
-    // srlr-lint: allow(lossy-cast, reason = "Duration division takes u32; sample counts are bench iteration counts, far below 4e9")
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "Duration division takes u32; sample counts are bench iteration counts, far below 4e9"
+    )]
     let mean = samples.iter().sum::<Duration>() / samples.len() as u32;
-    // srlr-lint: allow(no-print, reason = "the criterion shim IS the bench reporter; its one job is terminal output")
     println!(
         "{id:<44} time: [{} {} {}]",
         human(*min),
@@ -126,6 +134,7 @@ fn human(d: Duration) -> String {
 #[macro_export]
 macro_rules! criterion_group {
     (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
+        /// Runs every target of this bench group.
         pub fn $name() {
             let mut criterion: $crate::Criterion = $config;
             $( $target(&mut criterion); )+

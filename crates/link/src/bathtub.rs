@@ -98,11 +98,18 @@ pub fn rate_bathtub_with_threads(
     // the seed's PRBS-7 stimulus with the seed's own Gaussian noise
     // stream. No certificate here — it only proves the *jitter-free*
     // link clean — and no early exit: a bathtub counts every error.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the seed count sizes an in-memory work list, so it fits usize"
+    )]
     let n_seeds = seeds as usize;
     let n_threads = engine::resolve_threads(threads);
     let cells = engine::par_map_indexed(rates.len() * n_seeds, n_threads, |i| {
         let seed = (i % n_seeds) as u64;
-        // srlr-lint: allow(lossy-cast, reason = "seed % 126 + 1 is at most 126, well within u32")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "seed % 126 + 1 is at most 126, well within u32"
+        )]
         let tx = Prbs::prbs7_with_seed((seed % 126 + 1) as u32).take_bits(bits_per_seed);
         let out = links[i / n_seeds].transmit_with_jitter(&tx, jitter_sigma, seed);
         tx.iter().zip(&out.received).filter(|(a, b)| a != b).count()
@@ -122,6 +129,10 @@ pub fn rate_bathtub_with_threads(
 pub fn render(points: &[BathtubPoint]) -> String {
     let mut out = String::new();
     for p in points {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "errors > 0 puts the BER in (0, 1], so the bar length lies in [1, 7]"
+        )]
         let bar = if p.errors == 0 {
             "clean".to_owned()
         } else {
@@ -141,6 +152,10 @@ pub fn render(points: &[BathtubPoint]) -> String {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "test code: the cast and determinism lints cover library code only"
+)]
 mod tests {
     use super::*;
 

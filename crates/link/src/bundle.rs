@@ -47,7 +47,10 @@ impl LinkBundle {
     /// # Panics
     ///
     /// Panics if `width` is zero.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "`on_die`'s parameters plus the thread count, kept flat to mirror it"
+    )]
     pub fn on_die_with_threads(
         tech: &Technology,
         design: &SrlrDesign,

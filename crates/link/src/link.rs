@@ -133,7 +133,10 @@ impl SrlrLink {
     /// guarantees at least one).
     pub fn from_chain(chain: SrlrChain, config: LinkConfig) -> Self {
         let last = chain.stages().last();
-        // srlr-lint: allow(no-panic, reason = "documented panic: SrlrChain::instantiate asserts stages >= 1, see # Panics")
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: SrlrChain::instantiate asserts stages >= 1, see # Panics"
+        )]
         let sense = last.expect("chain is non-empty").sense_threshold;
         Self {
             chain,

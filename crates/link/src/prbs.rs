@@ -75,7 +75,10 @@ impl Prbs {
         let raw = srlr_rng::stream_seed(seed ^ PRBS_SALT, index);
         // Fold to 15 bits; the all-zero state is remapped to the default
         // full register so every index yields a valid maximal sequence.
-        // srlr-lint: allow(lossy-cast, reason = "intentional truncation: the fold keeps only the low 15 bits via the mask")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "intentional truncation: the fold keeps only the low 15 bits via the mask"
+        )]
         let mut state = (raw ^ (raw >> 15) ^ (raw >> 30) ^ (raw >> 45)) as u32 & 0x7FFF;
         if state == 0 {
             state = 0x7FFF;
@@ -119,6 +122,10 @@ impl Iterator for Prbs {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "test code: the cast and determinism lints cover library code only"
+)]
 mod tests {
     use super::*;
     use std::collections::HashSet;

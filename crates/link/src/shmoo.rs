@@ -48,7 +48,10 @@ impl ShmooPlot {
     /// # Panics
     ///
     /// Panics if either axis is empty.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "`measure`'s parameters plus the thread count, kept flat to mirror it"
+    )]
     pub fn measure_with_threads(
         tech: &Technology,
         design: &SrlrDesign,

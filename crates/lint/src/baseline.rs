@@ -113,32 +113,35 @@ mod tests {
 
     #[test]
     fn parse_skips_comments_and_blanks() {
-        let b = Baseline::parse("# header\n\nno-panic a.rs:3\n  det-map b.rs:9  \n");
+        let b = Baseline::parse("# header\n\nfloat-eq a.rs:3\n  raw-f64-api b.rs:9  \n");
         assert_eq!(b.len(), 2);
     }
 
     #[test]
     fn partition_separates_fresh_baselined_and_stale() {
-        let b = Baseline::parse("no-panic a.rs:3\ndet-map gone.rs:1\n");
+        let b = Baseline::parse("float-eq a.rs:3\nraw-f64-api gone.rs:1\n");
         let diags = vec![
-            diag(RuleId::NoPanic, "a.rs", 3),
-            diag(RuleId::DetMap, "b.rs", 9),
+            diag(RuleId::FloatEq, "a.rs", 3),
+            diag(RuleId::RawF64Api, "b.rs", 9),
         ];
         let (fresh, baselined, stale) = b.partition(diags);
         assert_eq!(fresh.len(), 1);
         assert_eq!(fresh[0].path, "b.rs");
         assert_eq!(baselined.len(), 1);
-        assert_eq!(stale, vec!["det-map gone.rs:1".to_string()]);
+        assert_eq!(stale, vec!["raw-f64-api gone.rs:1".to_string()]);
     }
 
     #[test]
     fn render_round_trips() {
-        let keys: BTreeSet<String> = ["no-panic a.rs:3".to_string(), "det-map b.rs:9".to_string()]
-            .into_iter()
-            .collect();
+        let keys: BTreeSet<String> = [
+            "float-eq a.rs:3".to_string(),
+            "raw-f64-api b.rs:9".to_string(),
+        ]
+        .into_iter()
+        .collect();
         let b = Baseline::parse(&Baseline::render(&keys));
         assert_eq!(b.len(), 2);
-        assert!(b.keys.contains("no-panic a.rs:3"));
+        assert!(b.keys.contains("float-eq a.rs:3"));
     }
 
     #[test]

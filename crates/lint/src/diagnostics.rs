@@ -2,9 +2,9 @@
 
 use crate::rules::RuleId;
 
-/// Saturating `usize → u32` for line/column/width arithmetic: the lint's
-/// own `lossy-cast` rule bans bare `as` narrowing, and a 4-billion-line
-/// source dimension is out of scope anyway.
+/// Saturating `usize → u32` for line/column/width arithmetic: the
+/// workspace's `cast_possible_truncation` lint bans bare `as` narrowing,
+/// and a 4-billion-line source dimension is out of scope anyway.
 pub(crate) fn to_u32(n: usize) -> u32 {
     u32::try_from(n).unwrap_or(u32::MAX)
 }
@@ -39,16 +39,11 @@ impl Diagnostic {
     /// Renders the diagnostic as a rustc-style block:
     ///
     /// ```text
-    /// crates/noc/src/network.rs:154:32: error[no-panic]: `.expect()` …
-    ///    154 |         self.traces.as_ref().expect("tracing not enabled")
-    ///        |                              ^^^^^^
+    /// crates/noc/src/router.rs:154:14: error[float-eq]: `==` against a float literal; …
+    ///    154 |         if x == 0.0 {
+    ///        |              ^^
     /// ```
     pub fn render(&self) -> String {
-        let severity = if self.rule.advisory() {
-            "warning"
-        } else {
-            "error"
-        };
         let gutter = format!("{:>6}", self.line);
         let caret_pad: String = self
             .snippet
@@ -58,7 +53,7 @@ impl Diagnostic {
             .collect();
         let carets = "^".repeat((self.width.max(1)) as usize);
         format!(
-            "{}:{}:{}: {severity}[{}]: {}\n{gutter} | {}\n{} | {caret_pad}{carets}\n",
+            "{}:{}:{}: error[{}]: {}\n{gutter} | {}\n{} | {caret_pad}{carets}\n",
             self.path,
             self.line,
             self.col,
@@ -79,31 +74,24 @@ mod tests {
             path: "crates/x/src/lib.rs".into(),
             line: 7,
             col: 11,
-            rule: RuleId::NoPanic,
-            message: "`.unwrap()` in library code".into(),
-            snippet: "    let x = y.unwrap();".into(),
-            width: 6,
+            rule: RuleId::FloatEq,
+            message: "`==` against a float literal".into(),
+            snippet: "    if y == 0.0 {".into(),
+            width: 2,
         }
     }
 
     #[test]
     fn baseline_key_is_rule_path_line() {
-        assert_eq!(diag().baseline_key(), "no-panic crates/x/src/lib.rs:7");
+        assert_eq!(diag().baseline_key(), "float-eq crates/x/src/lib.rs:7");
     }
 
     #[test]
     fn render_contains_position_rule_and_caret() {
         let r = diag().render();
         assert!(r.contains("crates/x/src/lib.rs:7:11"));
-        assert!(r.contains("error[no-panic]"));
-        assert!(r.contains("^^^^^^"));
-        assert!(r.contains("let x = y.unwrap();"));
-    }
-
-    #[test]
-    fn advisory_rules_render_as_warnings() {
-        let mut d = diag();
-        d.rule = RuleId::Indexing;
-        assert!(d.render().contains("warning[indexing]"));
+        assert!(r.contains("error[float-eq]"));
+        assert!(r.contains("^^"));
+        assert!(r.contains("if y == 0.0 {"));
     }
 }

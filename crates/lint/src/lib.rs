@@ -2,26 +2,33 @@
 //!
 //! The reproduction's headline guarantees — bit-identical Monte Carlo
 //! results at any thread count, and sweep runs that degrade instead of
-//! aborting — are invariants no compiler pass checks. This crate checks
-//! them: it lexes every workspace `src/` file with its own Rust lexer
-//! (raw strings, nested block comments, char-vs-lifetime — see
-//! [`lexer`]) and enforces the rule catalog in [`rules`]:
+//! aborting — rest on invariants of two kinds. The generic ones are
+//! toolchain lints, set once in the workspace `Cargo.toml`
+//! (`[workspace.lints]`) and `clippy.toml` and gated by CI's
+//! `cargo clippy -D warnings`:
 //!
-//! * `no-panic` — no `unwrap`/`expect`/`panic!` family in library code,
-//! * `det-map` — no `HashMap`/`HashSet` (iteration order leaks),
-//! * `det-time` — no wall-clock reads outside `crates/criterion`,
-//! * `det-spawn` — no threads outside `srlr-parallel`,
-//! * `float-eq` — no `==`/`!=` against float literals,
-//! * `no-print` — no `println!` family in library code (binaries and
-//!   `crates/bench` may print),
-//! * `missing-doc` — public items in `srlr-tech`/`srlr-circuit`/
-//!   `srlr-units` carry doc comments,
-//! * `indexing` — advisory, opt-in (`--warn-indexing`).
+//! | invariant | rustc / clippy lint |
+//! |---|---|
+//! | no panics in library code | `unwrap_used`, `expect_used`, `panic`, `unreachable`, `todo`, `unimplemented` |
+//! | no `HashMap`/`HashSet`, no wall clock | `disallowed_types` |
+//! | no threads outside `srlr-parallel` | `disallowed_methods` |
+//! | no printing from libraries | `print_stdout`, `print_stderr`, `dbg_macro` |
+//! | public items documented | `missing_docs` |
+//! | no silent truncation or sign wrap | `cast_possible_truncation`, `cast_possible_wrap` |
+//! | every allow states why | `allow_attributes_without_reason` |
 //!
-//! On top of the token scan, [`items`] parses each file into an item
-//! tree (modules, `use` declarations, public fns/structs/impls with
-//! signatures — no expression parsing) feeding three cross-file rules
-//! in [`semantic`]:
+//! This crate checks the ones no toolchain lint knows. It lexes every
+//! workspace `src/` file with its own Rust lexer (raw strings, nested
+//! block comments, char-vs-lifetime — see [`lexer`]) and enforces the
+//! rule catalog in [`rules`]. The token pass ([`analyze`]) parses
+//! suppression comments and checks
+//!
+//! * `float-eq` — no `==`/`!=` against float literals, zero included
+//!   (clippy's `float_cmp` exempts zero).
+//!
+//! [`items`] parses each file into an item tree (modules, `use`
+//! declarations, public fns/structs/impls with signatures — no
+//! expression parsing) feeding three cross-file rules in [`semantic`]:
 //!
 //! * `raw-f64-api` — public fns/fields in the dimensioned crates
 //!   (`tech`/`circuit`/`core`/`link`) use `srlr-units` newtypes, not
@@ -32,10 +39,10 @@
 //! * `api-lock` — each crate's public surface matches its committed
 //!   `api-lock.txt` snapshot (`--write-api-lock` accepts changes).
 //!
-//! A third layer ([`exprs`]) walks every function body into call, cast
-//! and float-reduction events, and [`callgraph`] resolves them into a
+//! A third layer ([`exprs`]) walks every function body into call and
+//! float-reduction events, and [`callgraph`] resolves them into a
 //! workspace call graph (name-based, pruned by the layering DAG),
-//! feeding four dataflow rules:
+//! feeding three dataflow rules:
 //!
 //! * `alloc-in-hot-path` — no heap-allocating call in any function
 //!   reachable from the hot roots declared in `lint-hotpaths.txt`
@@ -44,9 +51,7 @@
 //! * `unordered-float-reduce` — no float accumulation over iteration
 //!   whose order is not provably index-ordered,
 //! * `rng-stream-discipline` — RNG construction only inside `srlr-rng`
-//!   and the registered sampler entry points,
-//! * `lossy-cast` — no `as` casts to sub-word integer types in library
-//!   code.
+//!   and the registered sampler entry points.
 //!
 //! Violations are waved through only by an inline
 //! `// srlr-lint: allow(rule, reason = "…")` with a mandatory reason, or
@@ -69,23 +74,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::PathBuf;
 
-use analyze::{AnalyzeOptions, Suppression};
+use analyze::Suppression;
 use baseline::Baseline;
 use diagnostics::Diagnostic;
 use semantic::ParsedFile;
-
-/// Path prefixes (relative, `/`-separated) whose public items must carry
-/// doc comments.
-const DOC_COVERED: &[&str] = &["crates/tech/", "crates/circuit/", "crates/units/"];
-/// Paths allowed to read the wall clock: the criterion timing shim and
-/// the telemetry `Clock` abstraction that fences `Instant` for the
-/// profiler (everything else consumes time through `Clock`).
-const TIME_ALLOWED: &[&str] = &["crates/criterion/", "crates/telemetry/src/clock.rs"];
-/// Prefix allowed to spawn threads.
-const SPAWN_ALLOWED: &[&str] = &["crates/parallel/"];
-/// Prefixes allowed to print: the bench harness crate is a reporting
-/// tool whose whole job is terminal output.
-const PRINT_ALLOWED: &[&str] = &["crates/bench/"];
 
 /// A lint run's configuration.
 #[derive(Debug, Clone)]
@@ -94,8 +86,6 @@ pub struct Config {
     pub root: PathBuf,
     /// Baseline file; defaults to `<root>/lint-baseline.txt`.
     pub baseline_path: PathBuf,
-    /// Enable the advisory `indexing` rule.
-    pub warn_indexing: bool,
 }
 
 impl Config {
@@ -106,7 +96,6 @@ impl Config {
         Config {
             root,
             baseline_path,
-            warn_indexing: false,
         }
     }
 }
@@ -125,23 +114,17 @@ pub struct Report {
 }
 
 impl Report {
-    /// Fresh violations that fail the run (advisory rules never do).
-    pub fn failures(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.fresh.iter().filter(|d| !d.rule.advisory())
-    }
-
-    /// Whether the tree is clean: no failing fresh violations.
+    /// Whether the tree is clean: no fresh violations.
     pub fn is_clean(&self) -> bool {
-        self.failures().next().is_none()
+        self.fresh.is_empty()
     }
 
-    /// Baseline keys for every current non-advisory violation (fresh and
-    /// baselined) — what `--write-baseline` persists.
+    /// Baseline keys for every current violation (fresh and baselined) —
+    /// what `--write-baseline` persists.
     pub fn all_violation_keys(&self) -> BTreeSet<String> {
         self.fresh
             .iter()
             .chain(self.baselined.iter())
-            .filter(|d| !d.rule.advisory())
             .map(Diagnostic::baseline_key)
             .collect()
     }
@@ -173,19 +156,6 @@ fn io_err(context: impl Into<String>) -> impl FnOnce(std::io::Error) -> Error {
     move |source| Error { context, source }
 }
 
-/// Derives the per-file rule toggles from a workspace-relative path.
-pub fn options_for(rel: &str, warn_indexing: bool) -> AnalyzeOptions {
-    AnalyzeOptions {
-        check_missing_doc: DOC_COVERED.iter().any(|p| rel.starts_with(p)),
-        allow_time: TIME_ALLOWED.iter().any(|p| rel.starts_with(p)),
-        allow_spawn: SPAWN_ALLOWED.iter().any(|p| rel.starts_with(p)),
-        allow_print: PRINT_ALLOWED.iter().any(|p| rel.starts_with(p))
-            || rel == "main.rs"
-            || rel.ends_with("/main.rs"),
-        warn_indexing,
-    }
-}
-
 /// Per-file suppression comments, keyed by workspace-relative path.
 type SuppressionMap = BTreeMap<String, Vec<Suppression>>;
 
@@ -202,8 +172,7 @@ fn scan(config: &Config) -> Result<(Vec<ParsedFile>, SuppressionMap, Vec<Diagnos
         let src = std::fs::read_to_string(&file.abs)
             .map_err(io_err(format!("reading {}", file.abs.display())))?;
         let rel = file.rel.replace('\\', "/");
-        let opts = options_for(&rel, config.warn_indexing);
-        let analysis = analyze::analyze_file(&rel, &src, opts);
+        let analysis = analyze::analyze_file(&rel, &src);
         diags.extend(analysis.diags);
         suppressions.insert(rel.clone(), analysis.suppressions);
         let tree = items::parse_items(&rel, &src);
@@ -231,7 +200,6 @@ pub fn run(config: &Config) -> Result<Report, Error> {
         diags.extend(semantic::check_layering_uses(file));
         diags.extend(semantic::check_unordered_float_reduce(file));
         diags.extend(semantic::check_rng_stream_discipline(file));
-        diags.extend(semantic::check_lossy_cast(file));
     }
     if let Some(hot) = semantic::load_hotpaths(&config.root) {
         let graph = semantic::build_call_graph(&parsed);
@@ -285,34 +253,8 @@ mod tests {
     use std::path::Path;
 
     #[test]
-    fn options_follow_path_prefixes() {
-        let o = options_for("crates/tech/src/mosfet.rs", false);
-        assert!(o.check_missing_doc && !o.allow_time && !o.allow_spawn && !o.allow_print);
-        let o = options_for("crates/criterion/src/lib.rs", false);
-        assert!(!o.check_missing_doc && o.allow_time && !o.allow_spawn);
-        let o = options_for("crates/telemetry/src/clock.rs", false);
-        assert!(o.allow_time, "the telemetry Clock module may use Instant");
-        let o = options_for("crates/telemetry/src/profile.rs", false);
-        assert!(!o.allow_time, "only clock.rs gets the carve-out");
-        let o = options_for("crates/parallel/src/pool.rs", false);
-        assert!(o.allow_spawn);
-        let o = options_for("crates/noc/src/router.rs", true);
-        assert!(!o.check_missing_doc && o.warn_indexing);
-    }
-
-    #[test]
-    fn printing_is_allowed_in_binaries_and_bench_only() {
-        assert!(options_for("crates/cli/src/main.rs", false).allow_print);
-        assert!(options_for("crates/lint/src/main.rs", false).allow_print);
-        assert!(options_for("crates/bench/src/report.rs", false).allow_print);
-        assert!(!options_for("crates/cli/src/lib.rs", false).allow_print);
-        assert!(!options_for("crates/noc/src/domain.rs", false).allow_print);
-    }
-
-    #[test]
     fn config_defaults_baseline_under_root() {
         let c = Config::new("/ws");
         assert_eq!(c.baseline_path, Path::new("/ws/lint-baseline.txt"));
-        assert!(!c.warn_indexing);
     }
 }

@@ -6,6 +6,12 @@
 //! the findings, and CI must receive it even (especially) when they
 //! gate.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary's job is terminal output"
+)]
+
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -15,7 +21,7 @@ use srlr_lint::rules::ALL_RULES;
 use srlr_lint::{run, sarif, write_api_locks, Config};
 
 const USAGE: &str = "\
-srlr-lint: workspace static analysis (determinism, no-panic, doc coverage)
+srlr-lint: workspace rules clippy cannot check (float-eq, units, layering, API locks, dataflow)
 
 USAGE:
     srlr-lint [OPTIONS]
@@ -24,7 +30,6 @@ OPTIONS:
     --root <DIR>        workspace root to scan (default: .)
     --baseline <FILE>   baseline file (default: <root>/lint-baseline.txt)
     --deny-all          also fail on stale baseline entries (CI mode)
-    --warn-indexing     enable the advisory indexing rule
     --write-baseline    rewrite the baseline from current violations
     --write-api-lock    rewrite every api-lock.txt from the current public surface
     --format <FMT>      output format: text (default) or sarif
@@ -50,7 +55,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut root: Option<PathBuf> = None;
     let mut baseline: Option<PathBuf> = None;
     let mut deny_all = false;
-    let mut warn_indexing = false;
     let mut write_baseline = false;
     let mut write_api_lock = false;
     let mut list_rules = false;
@@ -68,7 +72,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 baseline = Some(PathBuf::from(v));
             }
             "--deny-all" => deny_all = true,
-            "--warn-indexing" => warn_indexing = true,
             "--write-baseline" => write_baseline = true,
             "--write-api-lock" => write_api_lock = true,
             "--format" => {
@@ -89,7 +92,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     if let Some(b) = baseline {
         config.baseline_path = b;
     }
-    config.warn_indexing = warn_indexing;
     Ok(Cli {
         config,
         deny_all,
@@ -117,8 +119,7 @@ fn main() -> ExitCode {
 
     if cli.list_rules {
         for rule in ALL_RULES {
-            let tag = if rule.advisory() { " (advisory)" } else { "" };
-            println!("{:<16} {}{tag}", rule.name(), rule.description());
+            println!("{:<16} {}", rule.name(), rule.description());
         }
         return ExitCode::SUCCESS;
     }
@@ -178,15 +179,11 @@ fn main() -> ExitCode {
         );
     }
 
-    let failures = report.failures().count();
-    let advisories = report.fresh.len() - failures;
+    let failures = report.fresh.len();
     let mut summary = format!(
         "srlr-lint: {} files checked, {failures} violation(s)",
         report.files_checked
     );
-    if advisories > 0 {
-        summary.push_str(&format!(", {advisories} advisory warning(s)"));
-    }
     if !report.baselined.is_empty() {
         summary.push_str(&format!(", {} baselined", report.baselined.len()));
     }

@@ -13,9 +13,8 @@ use crate::Report;
 
 /// Renders `report` as a single-run SARIF 2.1.0 document.
 ///
-/// Fresh violations become `results` (advisory rules at level
-/// `warning`, everything else `error`); baselined and stale entries are
-/// a text-output concern and are not exported.
+/// Fresh violations become `results` at level `error`; baselined and
+/// stale entries are a text-output concern and are not exported.
 pub fn render(report: &Report) -> String {
     let mut doc = SarifDoc::new("srlr-lint", "https://example.invalid/srlr-lint");
     for rule in ALL_RULES {
@@ -28,14 +27,9 @@ pub fn render(report: &Report) -> String {
 }
 
 fn write_result(doc: &mut SarifDoc, diag: &Diagnostic) {
-    let level = if diag.rule.advisory() {
-        "warning"
-    } else {
-        "error"
-    };
     doc.result(
         diag.rule.name(),
-        level,
+        "error",
         &diag.message,
         &diag.path,
         diag.line,
@@ -89,26 +83,27 @@ mod tests {
     fn diagnostics_become_results_with_locations() {
         let mut report = Report::default();
         report.fresh.push(diag(
-            RuleId::NoPanic,
+            RuleId::FloatEq,
             "crates/noc/src/router.rs",
             42,
             "an \"escaped\" message\nwith a newline",
         ));
         report
             .fresh
-            .push(diag(RuleId::Indexing, "src/lib.rs", 7, "advisory"));
+            .push(diag(RuleId::RawF64Api, "src/lib.rs", 7, "bare f64"));
         let doc = parse(&render(&report)).expect("valid JSON");
         let results = results(&doc);
         assert_eq!(results.len(), 2);
         let Json::Obj(first) = results[0] else {
             panic!()
         };
-        assert_eq!(first.get("ruleId"), Some(&Json::Str("no-panic".into())));
+        assert_eq!(first.get("ruleId"), Some(&Json::Str("float-eq".into())));
         assert_eq!(first.get("level"), Some(&Json::Str("error".into())));
         let Json::Obj(second) = results[1] else {
             panic!()
         };
-        assert_eq!(second.get("level"), Some(&Json::Str("warning".into())));
+        assert_eq!(second.get("ruleId"), Some(&Json::Str("raw-f64-api".into())));
+        assert_eq!(second.get("level"), Some(&Json::Str("error".into())));
     }
 
     #[test]

@@ -2,6 +2,11 @@
 //! violations, `2` usage errors — and `--format sarif` always `0`, so
 //! CI receives the findings document even when it gates.
 
+#![allow(
+    clippy::expect_used,
+    reason = "integration test: the panic and cast lints cover library code only"
+)]
+
 use std::path::Path;
 use std::process::{Command, Output};
 
@@ -44,6 +49,10 @@ fn sarif_format_exits_zero_even_with_findings() {
     let srlr_telemetry::json::Json::Obj(top) = &doc else {
         panic!("SARIF root must be an object")
     };
+    assert_eq!(
+        top.get("version"),
+        Some(&srlr_telemetry::json::Json::Str("2.1.0".into()))
+    );
     assert!(top.contains_key("runs"));
     assert!(
         stdout.contains("crate-layering"),
@@ -55,6 +64,17 @@ fn sarif_format_exits_zero_even_with_findings() {
 fn usage_errors_exit_two() {
     let out = srlr_lint(&["--frobnicate"]);
     assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("frobnicate"), "{stderr}");
     let out = srlr_lint(&["--format", "xml"]);
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn deny_all_is_clean_on_this_workspace() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let out = srlr_lint(&["--root", root.to_str().expect("utf-8"), "--deny-all"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains(" 0 violation(s)"), "{stdout}");
 }

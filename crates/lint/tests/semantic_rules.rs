@@ -6,6 +6,11 @@
 //! with a reasoned `// srlr-lint: allow(...)`, and rejects reason-less
 //! suppressions.
 
+#![allow(
+    clippy::expect_used,
+    reason = "integration test: the panic and cast lints cover library code only"
+)]
+
 use std::path::{Path, PathBuf};
 
 use srlr_lint::rules::RuleId;
@@ -38,10 +43,11 @@ impl Fixture {
         run(&Config::new(&self.root)).expect("lint run succeeds")
     }
 
-    /// Rules of the non-advisory fresh violations, with their paths.
+    /// Rules of the fresh violations, with their paths.
     fn violations(&self) -> Vec<(RuleId, String)> {
         self.run()
-            .failures()
+            .fresh
+            .iter()
             .map(|d| (d.rule, d.path.clone()))
             .collect()
     }
@@ -466,55 +472,6 @@ fn rng_stream_discipline_exempts_the_rng_crate_and_registered_samplers() {
         "crates/noc/src/fault.rs",
         "impl FaultModel {\n    /// Registered sampler entry.\n    pub fn new(seed: u64) -> Self {\n\
          \x20       Self { rng: Xoshiro256pp::for_stream(seed, 0) }\n    }\n}\n",
-    );
-    assert!(fx.violations().is_empty());
-}
-
-// -----------------------------------------------------------------
-// lossy-cast
-// -----------------------------------------------------------------
-
-#[test]
-fn lossy_cast_fires_and_is_suppressible() {
-    let fx = Fixture::new("lossy_cast_fires");
-    fx.write(
-        "crates/noc/src/lib.rs",
-        "/// Narrow an index.\npub fn narrow(x: usize) -> u16 {\n    x as u16\n}\n",
-    );
-    assert_eq!(
-        fx.violations(),
-        [(RuleId::LossyCast, "crates/noc/src/lib.rs".to_string())]
-    );
-
-    fx.write(
-        "crates/noc/src/lib.rs",
-        "/// Narrow an index.\npub fn narrow(x: usize) -> u16 {\n\
-         \x20   // srlr-lint: allow(lossy-cast, reason = \"caller guarantees x < 65536 by mesh-size assert\")\n\
-         \x20   x as u16\n}\n",
-    );
-    assert!(fx.violations().is_empty(), "reasoned allow must suppress");
-
-    fx.write(
-        "crates/noc/src/lib.rs",
-        "/// Narrow an index.\npub fn narrow(x: usize) -> u16 {\n\
-         \x20   // srlr-lint: allow(lossy-cast)\n\
-         \x20   x as u16\n}\n",
-    );
-    let rules: Vec<RuleId> = fx.violations().into_iter().map(|(r, _)| r).collect();
-    assert!(rules.contains(&RuleId::BadSuppression), "{rules:?}");
-    assert!(rules.contains(&RuleId::LossyCast), "{rules:?}");
-}
-
-#[test]
-fn lossy_cast_exempts_binaries_and_word_sized_targets() {
-    let fx = Fixture::new("lossy_cast_scope");
-    fx.write(
-        "crates/cli/src/main.rs",
-        "fn main() {\n    let _x = 70000usize as u16;\n}\n",
-    );
-    fx.write(
-        "crates/noc/src/lib.rs",
-        "/// Widen an index.\npub fn widen(x: u32) -> u64 {\n    x as u64\n}\n",
     );
     assert!(fx.violations().is_empty());
 }

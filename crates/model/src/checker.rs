@@ -987,9 +987,13 @@ pub fn verify_profiled(config: &ModelConfig, prof: &mut srlr_telemetry::Profiler
 /// The closed-form delivery probability the DTMC must reproduce: each
 /// of the `packet_len * hops` crossings independently survives with
 /// probability `1 - D^(R+1)`, averaged over ordered pairs.
+#[expect(
+    clippy::cast_possible_wrap,
+    reason = "powi takes i32; max_retries is a small retry budget and crossings = packet_len * hops \
+              stays far below i32::MAX for any real mesh"
+)]
 pub fn closed_form_delivery(config: &ModelConfig) -> f64 {
     let detected = config.detected_probability();
-    // srlr-lint: allow(lossy-cast, reason = "powi takes i32; max_retries is a small retry budget (u8-scale), nowhere near i32::MAX")
     let exhaust = detected.powi(config.fault.max_retries as i32 + 1);
     let survive = 1.0 - exhaust;
     let mesh = config.mesh;
@@ -1001,9 +1005,11 @@ pub fn closed_form_delivery(config: &ModelConfig) -> f64 {
                 continue;
             }
             let hops = mesh.coord_of(s).hop_distance(mesh.coord_of(d));
-            // srlr-lint: allow(lossy-cast, reason = "packet lengths are flit counts, far below u32::MAX")
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "packet lengths are flit counts, far below u32::MAX"
+            )]
             let crossings = (config.packet_len as u32) * hops;
-            // srlr-lint: allow(lossy-cast, reason = "powi takes i32; crossings = packet_len * hops stays far below i32::MAX for any real mesh")
             total += survive.powi(crossings as i32);
             count += 1;
         }
@@ -1016,6 +1022,11 @@ pub fn closed_form_delivery(config: &ModelConfig) -> f64 {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    reason = "test code: the cast and determinism lints cover library code only"
+)]
 mod tests {
     use super::*;
 

@@ -117,8 +117,12 @@ impl FaultConfig {
 
     /// Probability that at least one bit of an 80-bit codeword flips in
     /// one traversal.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        reason = "powi takes i32; CODEWORD_BITS is the constant 80"
+    )]
     pub fn word_error_probability(&self) -> f64 {
-        // srlr-lint: allow(lossy-cast, reason = "powi takes i32; CODEWORD_BITS is the constant 80")
         1.0 - (1.0 - self.ber).powi(CODEWORD_BITS as i32)
     }
 }
@@ -321,6 +325,10 @@ impl FaultModel {
 /// position is uniform, every other bit flips independently with
 /// probability `ber` — the exact conditional distribution up to the
 /// (negligible, O(ber)) bias of pinning one flip.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "intentional split of the 80-bit codeword: low 16 bits are the CRC, the rest the payload"
+)]
 fn corrupt_codeword(rng: &mut Xoshiro256pp, payload: u64, crc: u16, ber: f64) -> (u64, u16) {
     let first = rng.index(CODEWORD_BITS);
     let mut word = (u128::from(payload) << 16) | u128::from(crc);
@@ -330,7 +338,6 @@ fn corrupt_codeword(rng: &mut Xoshiro256pp, payload: u64, crc: u16, ber: f64) ->
             word ^= 1u128 << bit;
         }
     }
-    // srlr-lint: allow(lossy-cast, reason = "intentional split of the 80-bit codeword: low 16 bits are the CRC, the rest the payload")
     (((word >> 16) as u64), (word as u16))
 }
 
@@ -354,7 +361,10 @@ pub struct FaultSweepPoint {
 ///
 /// Panics if `bers` is empty, a BER is outside `[0, 1)`, or the load /
 /// window parameters are invalid for [`crate::Network`].
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one parameter per axis of the sweep; `ber_sweep_observed` mirrors it"
+)]
 pub fn ber_sweep(
     base: NocConfig,
     template: FaultConfig,
@@ -384,7 +394,10 @@ pub fn ber_sweep(
 /// # Panics
 ///
 /// Panics under the same conditions as [`ber_sweep`].
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "`ber_sweep`'s parameters plus the observation handle"
+)]
 pub fn ber_sweep_observed(
     base: NocConfig,
     template: FaultConfig,
@@ -481,6 +494,10 @@ pub fn ber_sweep_observed(
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "test code: the cast and determinism lints cover library code only"
+)]
 mod tests {
     use super::*;
     use crate::packet::{Packet, PacketId};

@@ -279,8 +279,11 @@ impl Network {
     /// # Panics
     ///
     /// Panics if tracing was never enabled.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: caller must call enable_tracing first, see # Panics"
+    )]
     pub fn traces(&self) -> &std::collections::BTreeMap<crate::packet::PacketId, Vec<Coord>> {
-        // srlr-lint: allow(no-panic, reason = "documented panic: caller must call enable_tracing first, see # Panics")
         self.traces.as_ref().expect("tracing not enabled")
     }
 

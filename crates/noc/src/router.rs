@@ -349,8 +349,10 @@ impl Router {
 
         // --- SA, input-first: each input port nominates one VC...
         let mut nominations: Vec<Option<(usize, usize)>> = vec![None; 5];
-        // Port indexes both the nomination slot and the round-robin state.
-        #[allow(clippy::needless_range_loop)]
+        #[allow(
+            clippy::needless_range_loop,
+            reason = "the port indexes both the nomination slot and the round-robin state"
+        )]
         for port in 0..5 {
             let start = self.rr_sa_in[port] % self.vcs;
             for k in 0..self.vcs {

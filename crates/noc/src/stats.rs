@@ -52,6 +52,10 @@ impl Histogram {
     }
 
     /// Records one sample.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "latencies are cycle counts of one run; u64 -> usize narrows only on 32-bit targets"
+    )]
     pub fn record(&mut self, value: u64) {
         self.count += 1;
         match self.bins.get_mut(value as usize) {
@@ -73,6 +77,10 @@ impl Histogram {
         if self.count == 0 {
             return None;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "p <= 100, so the target is at most count, a u64"
+        )]
         let target = (self.count as f64 * p / 100.0).ceil() as u64;
         let mut seen = 0;
         for (bin, &count) in self.bins.iter().enumerate() {
@@ -281,6 +289,10 @@ impl NetworkStats {
         }
         // The Wilson machinery is phrased in failures; a drop is the
         // failure event, so the delivered interval is its complement.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "packet counts of one run; u64 -> usize narrows only on 32-bit targets"
+        )]
         let drops = srlr_tech::montecarlo::ErrorProbability {
             failures: self.packets_dropped as usize,
             trials: terminated as usize,

@@ -161,12 +161,15 @@ impl Mesh {
     /// # Panics
     ///
     /// Panics if the index is out of range.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "index % cols < cols, which is u16; index < rows * cols, so index / cols < rows, \
+                  which is u16"
+    )]
     pub fn coord_of(self, index: usize) -> Coord {
         assert!(index < self.len(), "index {index} outside {self}");
         Coord::new(
-            // srlr-lint: allow(lossy-cast, reason = "index % cols < cols, which is u16")
             (index % usize::from(self.cols)) as u16,
-            // srlr-lint: allow(lossy-cast, reason = "index < rows * cols, so index / cols < rows, which is u16")
             (index / usize::from(self.cols)) as u16,
         )
     }
@@ -256,6 +259,10 @@ impl core::fmt::Display for Mesh {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "test code: the cast and determinism lints cover library code only"
+)]
 mod tests {
     use super::*;
 

@@ -21,7 +21,10 @@
 //! touching callers.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the index-ordered pool is the one place the workspace spawns threads"
+)]
 
 /// The environment variable overriding the default worker count.
 pub const THREADS_ENV: &str = "SRLR_THREADS";
@@ -55,6 +58,11 @@ pub fn resolve_threads(requested: Option<usize>) -> usize {
 /// side of the determinism contract.
 ///
 /// `threads <= 1` (or `n <= 1`) runs serially on the calling thread.
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: chunks_mut partitions 0..n, so every slot is written exactly once before \
+              the scope joins"
+)]
 pub fn par_map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -79,7 +87,6 @@ where
     });
     slots
         .into_iter()
-        // srlr-lint: allow(no-panic, reason = "invariant: chunks_mut partitions 0..n, so every slot is written exactly once before the scope joins")
         .map(|slot| slot.expect("every index was assigned to a worker"))
         .collect()
 }

@@ -16,16 +16,16 @@
 //! All JSON is hand-rolled ([`json`]) — the workspace is hermetic and
 //! carries no serde.
 //!
-//! # Invariants (enforced by `srlr-lint` and the crate's tests)
+//! # Invariants (enforced by the workspace lints and the crate's tests)
 //!
 //! * **Zero cost when disabled.** A disabled [`Collector`] is one
 //!   `None`; every record method is a branch that returns without
 //!   allocating. Instrumented hot loops are free when telemetry is off.
 //! * **Simulated time only.** Timestamps are cycles, trial indices, or
-//!   simulated picoseconds — never the wall clock (`det-time` reserves
-//!   that for the `crates/criterion` shim and this crate's [`clock`]
-//!   module, where profiling fences it behind the [`Clock`]
-//!   abstraction).
+//!   simulated picoseconds — never the wall clock (clippy's
+//!   `disallowed_types` reserves that for the `crates/criterion` shim
+//!   and this crate's [`clock`] module, where profiling fences it
+//!   behind the [`Clock`] abstraction).
 //! * **Bit-identical at any worker count.** Parallel stages record into
 //!   per-item [`Collector::child`] collectors merged back in item-index
 //!   order, mirroring `par_map_indexed`; spans carry their item index.

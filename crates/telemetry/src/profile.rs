@@ -346,6 +346,11 @@ impl Profile {
             let parent = match n.get("parent") {
                 Some(Json::Null) | None => None,
                 Some(p) => {
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "`as` saturates a negative or NaN index to 0; the check below \
+                                  rejects any parent that does not precede the node"
+                    )]
                     let p = p.as_num().ok_or_else(|| format!("node {i}: bad parent"))? as usize;
                     if p >= i {
                         return Err(format!("node {i}: parent {p} does not precede it"));
@@ -358,6 +363,10 @@ impl Profile {
                     .and_then(Json::as_num)
                     .ok_or_else(|| format!("node {i}: missing {key}"))
             };
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "counts are written as integers; `as` saturates anything else"
+            )]
             nodes.push(ProfileNode {
                 name,
                 parent,

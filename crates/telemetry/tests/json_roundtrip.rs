@@ -8,6 +8,13 @@
 //! subnormals, deep nesting, empty containers — and asserts
 //! `parse(write(doc)) == doc` for every one of them.
 
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::unreachable,
+    reason = "integration test: the panic and cast lints cover library code only"
+)]
+
 use srlr_telemetry::json::{parse, write_f64, write_str};
 use srlr_telemetry::{Json, Value};
 use std::collections::BTreeMap;

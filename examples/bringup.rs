@@ -4,6 +4,11 @@
 //!
 //! Run with `cargo run --release --example bringup`.
 
+#![allow(
+    clippy::print_stdout,
+    reason = "example: printing is how it demonstrates the library"
+)]
+
 use srlr_circuit::vcd::VcdExporter;
 use srlr_core::transient::SrlrTransientFixture;
 use srlr_core::SrlrDesign;

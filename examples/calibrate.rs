@@ -2,6 +2,11 @@
 //! combination, plus the Fig. 6 swing sweep. Used while tuning the
 //! pulse-domain model against the paper's reported robustness numbers.
 
+#![allow(
+    clippy::print_stdout,
+    reason = "example: printing is how it demonstrates the library"
+)]
+
 use srlr_core::{DelayCellDesign, DriverKind, SrlrDesign};
 use srlr_link::montecarlo::McExperiment;
 use srlr_tech::Technology;

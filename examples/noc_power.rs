@@ -4,6 +4,11 @@
 //!
 //! Run with `cargo run --release --example noc_power`.
 
+#![allow(
+    clippy::print_stdout,
+    reason = "example: printing is how it demonstrates the library"
+)]
+
 use srlr_noc::traffic::Pattern;
 use srlr_noc::{DatapathKind, Network, NocConfig, PowerModel};
 use srlr_tech::Technology;

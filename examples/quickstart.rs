@@ -3,6 +3,11 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
+#![allow(
+    clippy::print_stdout,
+    reason = "example: printing is how it demonstrates the library"
+)]
+
 use srlr_link::ber::BerTester;
 use srlr_link::SrlrLink;
 use srlr_tech::Technology;

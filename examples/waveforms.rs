@@ -3,6 +3,11 @@
 //!
 //! Run with `cargo run --release --example waveforms`.
 
+#![allow(
+    clippy::print_stdout,
+    reason = "example: printing is how it demonstrates the library"
+)]
+
 use srlr_core::transient::SrlrTransientFixture;
 use srlr_tech::Technology;
 use srlr_units::Voltage;

@@ -2,6 +2,11 @@
 //! minimal and dimension-ordered; west-first routes must be minimal and
 //! never turn into the west direction.
 
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "integration test: the panic and cast lints cover library code only"
+)]
+
 use srlr_noc::traffic::Pattern;
 use srlr_noc::{Coord, Network, NocConfig, RoutingAlgorithm};
 
