@@ -4,7 +4,7 @@
 use crate::fault::{FaultModel, LinkTransmission};
 use crate::packet::{Flit, Packet, PacketId};
 use crate::power::EnergyCounters;
-use crate::router::{NocConfig, Router};
+use crate::router::{NocConfig, Router, SentFlit};
 use crate::stats::NetworkStats;
 use crate::topology::{Coord, Direction, Mesh};
 use crate::traffic::{Pattern, TrafficGenerator};
@@ -176,13 +176,22 @@ impl core::fmt::Display for StalledError {
 impl std::error::Error for StalledError {}
 
 /// Per-node injection state: the packet currently streaming into the
-/// local port.
+/// local port, one flit per cycle.
 #[derive(Debug, Clone, Default)]
 struct InjectState {
-    /// Remaining flits of the in-progress packet (front is next to go).
-    flits: VecDeque<Flit>,
+    /// The in-progress packet, `None` when the port is idle.
+    packet: Option<Packet>,
+    /// Index of its next flit to enter the router.
+    next: usize,
     /// The VC chosen for the in-progress packet.
     vc: usize,
+}
+
+impl InjectState {
+    /// Flits of the in-progress packet still to enter the router.
+    fn remaining(&self) -> usize {
+        self.packet.as_ref().map_or(0, |p| p.len_flits - self.next)
+    }
 }
 
 /// The mesh network under simulation.
@@ -190,6 +199,10 @@ struct InjectState {
 /// Per-hop latency is two cycles: one through the router pipeline (route
 /// computation, allocation and switch traversal are modelled as a single
 /// aggressively-pipelined stage) and one on the link.
+///
+/// A cycle allocates nothing beyond per-packet bookkeeping: in-flight
+/// flits and credits are delivered in place, and the router pipeline
+/// writes into buffers the network keeps from cycle to cycle.
 #[derive(Debug, Clone)]
 pub struct Network {
     config: NocConfig,
@@ -229,6 +242,11 @@ pub struct Network {
     /// Opt-in flit-lifecycle telemetry; `None` costs one branch per
     /// instrumentation site and no allocation.
     telemetry: Option<Box<FlitTelemetry>>,
+    /// Flits one router sent this cycle (reused; a router sends at most
+    /// one flit per output).
+    sent: Vec<SentFlit>,
+    /// Packets completed in the latest cycle (reused).
+    completed: Vec<(Coord, u64)>,
 }
 
 impl Network {
@@ -258,6 +276,8 @@ impl Network {
             routing_errors: 0,
             link_busy_until: vec![0; n * Direction::MESH.len()],
             telemetry: None,
+            sent: Vec::with_capacity(Direction::ALL.len()),
+            completed: Vec::new(),
         }
     }
 
@@ -431,7 +451,7 @@ impl Network {
             .chain(
                 self.inject
                     .iter()
-                    .flat_map(|s| s.flits.iter().map(|f| f.packet)),
+                    .filter_map(|s| s.packet.as_ref().map(|p| p.id)),
             )
             .chain(self.source_queues.iter().flatten().map(|p| p.id))
             .collect();
@@ -444,7 +464,11 @@ impl Network {
     pub fn occupancy(&self) -> usize {
         self.routers.iter().map(Router::occupancy).sum::<usize>()
             + self.pending_flits.iter().map(Vec::len).sum::<usize>()
-            + self.inject.iter().map(|s| s.flits.len()).sum::<usize>()
+            + self
+                .inject
+                .iter()
+                .map(InjectState::remaining)
+                .sum::<usize>()
             + self
                 .source_queues
                 .iter()
@@ -494,7 +518,14 @@ impl Network {
     /// Advances the simulation by one cycle, returning the packets that
     /// completed (`(destination, latency_cycles)` per ejected tail).
     pub fn step(&mut self) -> Vec<(Coord, u64)> {
+        self.advance().to_vec()
+    }
+
+    /// [`Self::step`] returning the completed packets from a buffer the
+    /// network reuses, so stepping allocates nothing once it has grown.
+    fn advance(&mut self) -> &[(Coord, u64)] {
         let n = self.routers.len();
+        self.completed.clear();
 
         // Phase 0 (telemetry only): sample queue depth and occupancy as
         // of the cycle start, and roll the retry/NACK window over. The
@@ -516,56 +547,63 @@ impl Network {
             }
         }
 
-        // Phase 1: deliver due link flits and credits.
+        // Phase 1: deliver due link flits (in arrival-list order, keeping
+        // the later ones in place) and credits.
+        let now = self.cycle;
         for i in 0..n {
-            let now = self.cycle;
-            let (due, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending_flits[i])
-                .into_iter()
-                .partition(|&(at, ..)| at <= now);
-            self.pending_flits[i] = later;
-            for (_, port, vc, flit) in due {
-                self.routers[i].accept(port, vc, flit);
-                self.counters.buffer_writes += 1;
-            }
-            let credits = std::mem::take(&mut self.pending_credits[i]);
-            for (port, vc) in credits {
-                self.routers[i].return_credit(port, vc);
+            let router = &mut self.routers[i];
+            let buffer_writes = &mut self.counters.buffer_writes;
+            self.pending_flits[i].retain(|&(at, port, vc, flit)| {
+                if at > now {
+                    return true;
+                }
+                router.accept(port, vc, flit);
+                *buffer_writes += 1;
+                false
+            });
+            for (port, vc) in self.pending_credits[i].drain(..) {
+                router.return_credit(port, vc);
             }
         }
 
         // Phase 2: injection into local input ports.
         for i in 0..n {
-            if self.inject[i].flits.is_empty() {
+            let router = &mut self.routers[i];
+            let state = &mut self.inject[i];
+            if state.packet.is_none() {
                 if let Some(pkt) = self.source_queues[i].pop_front() {
-                    let dst = pkt.dst();
                     // Pick the emptiest local VC for the new packet.
                     let vc = (0..self.config.vcs)
-                        .max_by_key(|&v| self.routers[i].free_slots(Direction::Local, v))
+                        .max_by_key(|&v| router.free_slots(Direction::Local, v))
                         .unwrap_or(0);
-                    self.inject[i] = InjectState {
-                        flits: pkt.flits(dst).into(),
+                    *state = InjectState {
+                        packet: Some(pkt),
+                        next: 0,
                         vc,
                     };
                 }
             }
-            let state = &mut self.inject[i];
-            if let Some(&flit) = state.flits.front() {
-                if self.routers[i].free_slots(Direction::Local, state.vc) > 0 {
-                    self.routers[i].accept(Direction::Local, state.vc, flit);
+            if let Some(pkt) = &state.packet {
+                if router.free_slots(Direction::Local, state.vc) > 0 {
+                    router.accept(Direction::Local, state.vc, pkt.flit(state.next, pkt.dst()));
                     self.counters.buffer_writes += 1;
-                    state.flits.pop_front();
+                    state.next += 1;
+                    if state.next == pkt.len_flits {
+                        state.packet = None;
+                    }
                 }
             }
         }
 
         // Phase 3: router pipelines.
-        let mut completed = Vec::new();
+        let mut sent = std::mem::take(&mut self.sent);
         for i in 0..n {
-            let (sent, activity) = self.routers[i].step(self.mesh);
+            sent.clear();
+            let activity = self.routers[i].step_into(self.mesh, &mut sent);
             self.counters.allocations += (activity.route_computations
                 + activity.vc_allocations
                 + activity.switch_allocations) as u64;
-            for s in sent {
+            for &s in &sent {
                 self.counters.buffer_reads += 1;
                 if s.flit.kind.is_head() {
                     if let Some(traces) = self.traces.as_mut() {
@@ -628,7 +666,7 @@ impl Network {
                             }
                         } else {
                             let latency = self.cycle - s.flit.inject_cycle + 1;
-                            completed.push((here, latency));
+                            self.completed.push((here, latency));
                             if let Some(tel) = self.telemetry.as_mut() {
                                 tel.collector.event(
                                     "flit.eject",
@@ -698,9 +736,10 @@ impl Network {
             }
         }
 
+        self.sent = sent;
         self.cycle += 1;
         self.counters.router_cycles += n as u64;
-        completed
+        &self.completed
     }
 
     /// Runs `warmup` cycles of traffic, then measures for `measure`
@@ -752,7 +791,7 @@ impl Network {
         prof.enter("noc.warmup");
         for _ in 0..warmup {
             self.inject_from(&mut gen);
-            let _ = self.step();
+            self.advance();
         }
         prof.exit();
         let counters_before = self.counters;
@@ -763,7 +802,7 @@ impl Network {
         prof.enter("noc.measure");
         for _ in 0..measure {
             self.inject_from(&mut gen);
-            for (_, latency) in self.step() {
+            for &(_, latency) in self.advance() {
                 stats.record_packet(latency);
             }
         }
@@ -802,7 +841,7 @@ impl Network {
         let dropped_before = self.dropped;
         let mut delivered = Vec::new();
         for _ in 0..max_cycles {
-            delivered.extend(self.step());
+            delivered.extend_from_slice(self.advance());
             let terminated = delivered.len() as u64 + (self.dropped - dropped_before);
             if terminated >= packets as u64 {
                 return Ok(delivered);
@@ -831,7 +870,7 @@ impl Network {
             if self.occupancy() == 0 {
                 return true;
             }
-            let _ = self.step();
+            self.advance();
         }
         self.occupancy() == 0
     }

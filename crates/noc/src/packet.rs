@@ -10,16 +10,34 @@ use crate::topology::Coord;
 pub fn crc16(payload: u64) -> u16 {
     let mut crc: u16 = 0xFFFF;
     for byte in payload.to_be_bytes() {
-        crc ^= u16::from(byte) << 8;
-        for _ in 0..8 {
+        let [high, _] = crc.to_be_bytes();
+        crc = (crc << 8) ^ CRC16_TABLE[usize::from(high ^ byte)];
+    }
+    crc
+}
+
+/// [`crc16`]'s byte table: entry `b` is the register after shifting the
+/// byte `b` through eight steps of the polynomial from a zero register.
+const CRC16_TABLE: [u16; 256] = crc16_table();
+
+const fn crc16_table() -> [u16; 256] {
+    let mut table = [0u16; 256];
+    let mut b: u16 = 0;
+    while b < 256 {
+        let mut crc = b << 8;
+        let mut bit = 0;
+        while bit < 8 {
             crc = if crc & 0x8000 != 0 {
                 (crc << 1) ^ 0x1021
             } else {
                 crc << 1
             };
+            bit += 1;
         }
+        table[b as usize] = crc;
+        b += 1;
     }
-    crc
+    table
 }
 
 /// The deterministic payload word of flit `index` of packet `id` (a
@@ -122,28 +140,30 @@ impl Packet {
 
     /// Produces the packet's flits in wire order.
     pub fn flits(&self, dst: Coord) -> Vec<Flit> {
-        (0..self.len_flits)
-            .map(|i| {
-                let kind = if self.len_flits == 1 {
-                    FlitKind::HeadTail
-                } else if i == 0 {
-                    FlitKind::Head
-                } else if i + 1 == self.len_flits {
-                    FlitKind::Tail
-                } else {
-                    FlitKind::Body
-                };
-                let payload = flit_payload(self.id, i);
-                Flit {
-                    packet: self.id,
-                    kind,
-                    dst,
-                    inject_cycle: self.inject_cycle,
-                    payload,
-                    crc: crc16(payload),
-                }
-            })
-            .collect()
+        (0..self.len_flits).map(|i| self.flit(i, dst)).collect()
+    }
+
+    /// Flit `index` of the packet in wire order (the network builds each
+    /// flit as it enters the router instead of materialising the packet).
+    pub(crate) fn flit(&self, index: usize, dst: Coord) -> Flit {
+        let kind = if self.len_flits == 1 {
+            FlitKind::HeadTail
+        } else if index == 0 {
+            FlitKind::Head
+        } else if index + 1 == self.len_flits {
+            FlitKind::Tail
+        } else {
+            FlitKind::Body
+        };
+        let payload = flit_payload(self.id, index);
+        Flit {
+            packet: self.id,
+            kind,
+            dst,
+            inject_cycle: self.inject_cycle,
+            payload,
+            crc: crc16(payload),
+        }
     }
 }
 
@@ -273,6 +293,37 @@ mod tests {
             };
         }
         assert_eq!(crc, 0x29B1);
+    }
+
+    /// The bit-serial CRC-16/CCITT-FALSE the table-driven [`crc16`]
+    /// must reproduce.
+    fn crc16_bitwise(payload: u64) -> u16 {
+        let mut crc: u16 = 0xFFFF;
+        for byte in payload.to_be_bytes() {
+            crc ^= u16::from(byte) << 8;
+            for _ in 0..8 {
+                crc = if crc & 0x8000 != 0 {
+                    (crc << 1) ^ 0x1021
+                } else {
+                    crc << 1
+                };
+            }
+        }
+        crc
+    }
+
+    #[test]
+    fn table_crc16_matches_the_bitwise_loop() {
+        let edges = [0, u64::MAX, 0x8000_0000_0000_0000, 0x0123_4567_89AB_CDEF];
+        let single_bits = (0..64).map(|bit| 1u64 << bit);
+        let payloads = (0..100_000u64).map(|k| flit_payload(PacketId(k / 5), (k % 5) as usize));
+        for payload in edges.into_iter().chain(single_bits).chain(payloads) {
+            assert_eq!(
+                crc16(payload),
+                crc16_bitwise(payload),
+                "payload {payload:#018x}"
+            );
+        }
     }
 
     #[test]

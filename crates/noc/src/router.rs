@@ -10,7 +10,6 @@ use crate::packet::Flit;
 use crate::power::DatapathKind;
 use crate::topology::{Coord, Direction, Mesh};
 use srlr_units::Frequency;
-use std::collections::VecDeque;
 
 /// Network configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -157,10 +156,24 @@ impl NocConfig {
     }
 }
 
-/// Per-VC input state.
-#[derive(Debug, Clone, Default)]
+/// `i % n` for `i < 2 * n`, without a division (ring positions and
+/// round-robin rotations stay below twice their modulus).
+fn wrap(i: usize, n: usize) -> usize {
+    if i >= n {
+        i - n
+    } else {
+        i
+    }
+}
+
+/// Per-VC input state. The flits themselves live in the router's flat
+/// slot array, as a ring of `buffer_depth` slots per VC.
+#[derive(Debug, Clone, Copy, Default)]
 struct VcState {
-    buffer: VecDeque<Flit>,
+    /// Ring position of the front flit.
+    head: usize,
+    /// Flits buffered.
+    len: usize,
     /// Output port assigned by route computation (None until RC).
     route: Option<Direction>,
     /// Downstream VC granted by VC allocation (None until VA).
@@ -195,22 +208,36 @@ pub struct RouterActivity {
 }
 
 /// One 5-port mesh router.
+///
+/// Per-VC state is stored flat, indexed `port * vcs + vc`, so a router is
+/// a handful of allocations however many VCs it has, and a cycle of its
+/// pipeline allocates nothing.
 #[derive(Debug, Clone)]
 pub struct Router {
     coord: Coord,
     vcs: usize,
     buffer_depth: usize,
     routing: crate::routing::RoutingAlgorithm,
-    /// Input state, indexed `[port][vc]`.
-    inputs: Vec<Vec<VcState>>,
-    /// Credits available at the downstream buffer of each output, indexed
-    /// `[port][vc]`. The Local output is an always-ready sink.
-    out_credits: Vec<Vec<usize>>,
-    /// Whether a downstream VC is currently owned by a packet.
-    out_vc_busy: Vec<Vec<bool>>,
+    /// Input VC state, indexed `port * vcs + vc`.
+    inputs: Vec<VcState>,
+    /// Flit storage: input VC `q` owns the ring of slots
+    /// `q * buffer_depth .. (q + 1) * buffer_depth`.
+    slots: Vec<Option<Flit>>,
+    /// Flits buffered across all inputs; an empty router skips RC, VA,
+    /// SA and ST.
+    buffered: usize,
+    /// Credits available at the downstream buffer of each output VC,
+    /// indexed `port * vcs + vc`. The Local output is an always-ready
+    /// sink.
+    out_credits: Vec<usize>,
+    /// Whether a downstream VC is currently owned by a packet, indexed
+    /// `port * vcs + vc`.
+    out_vc_busy: Vec<bool>,
+    /// VA requesters of the current cycle (reused across cycles).
+    va_requesters: Vec<usize>,
     /// Round-robin pointers.
     rr_va: usize,
-    rr_sa_in: Vec<usize>,
+    rr_sa_in: [usize; 5],
     rr_sa_out: usize,
 }
 
@@ -219,18 +246,20 @@ impl Router {
     pub fn new(coord: Coord, config: &NocConfig) -> Self {
         config.validate();
         let vcs = config.vcs;
+        let queues = Direction::ALL.len() * vcs;
         Self {
             coord,
             vcs,
             buffer_depth: config.buffer_depth,
             routing: config.routing,
-            inputs: (0..5)
-                .map(|_| (0..vcs).map(|_| VcState::default()).collect())
-                .collect(),
-            out_credits: (0..5).map(|_| vec![config.buffer_depth; vcs]).collect(),
-            out_vc_busy: (0..5).map(|_| vec![false; vcs]).collect(),
+            inputs: vec![VcState::default(); queues],
+            slots: vec![None; queues * config.buffer_depth],
+            buffered: 0,
+            out_credits: vec![config.buffer_depth; queues],
+            out_vc_busy: vec![false; queues],
+            va_requesters: Vec::with_capacity(queues),
             rr_va: 0,
-            rr_sa_in: vec![0; 5],
+            rr_sa_in: [0; 5],
             rr_sa_out: 0,
         }
     }
@@ -241,22 +270,65 @@ impl Router {
     }
 
     /// Free buffer slots at an input VC.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vc` is not one of the router's VCs.
     pub fn free_slots(&self, port: Direction, vc: usize) -> usize {
-        self.buffer_depth - self.inputs[port.index()][vc].buffer.len()
+        self.buffer_depth - self.inputs[self.queue(port, vc)].len
     }
 
     /// Total buffered flits across all inputs (diagnostics).
     pub fn occupancy(&self) -> usize {
-        self.inputs.iter().flatten().map(|v| v.buffer.len()).sum()
+        self.buffered
     }
 
     /// The packets with at least one flit buffered in this router (with
     /// repetitions; used to report the in-flight set of a stalled run).
     pub fn buffered_packets(&self) -> impl Iterator<Item = crate::packet::PacketId> + '_ {
-        self.inputs
-            .iter()
-            .flatten()
-            .flat_map(|v| v.buffer.iter().map(|f| f.packet))
+        self.inputs.iter().enumerate().flat_map(move |(q, s)| {
+            (0..s.len).filter_map(move |k| self.slots[self.slot(q, s.head + k)].map(|f| f.packet))
+        })
+    }
+
+    /// The flat index `port * vcs + vc` of a VC.
+    fn queue(&self, port: Direction, vc: usize) -> usize {
+        assert!(vc < self.vcs, "VC {vc} out of range at {}", self.coord);
+        port.index() * self.vcs + vc
+    }
+
+    /// Index into `slots` of ring position `pos` of input VC `q`.
+    fn slot(&self, q: usize, pos: usize) -> usize {
+        q * self.buffer_depth + wrap(pos, self.buffer_depth)
+    }
+
+    /// The flit at the front of input VC `q`.
+    fn front(&self, q: usize) -> Option<&Flit> {
+        let s = &self.inputs[q];
+        if s.len == 0 {
+            return None;
+        }
+        self.slots[self.slot(q, s.head)].as_ref()
+    }
+
+    /// Removes and returns the flit at the front of input VC `q`.
+    fn pop_front(&mut self, q: usize) -> Option<Flit> {
+        let s = self.inputs[q];
+        if s.len == 0 {
+            return None;
+        }
+        let at = self.slot(q, s.head);
+        let flit = self.slots[at].take();
+        self.inputs[q].head = wrap(s.head + 1, self.buffer_depth);
+        self.inputs[q].len -= 1;
+        self.buffered -= 1;
+        flit
+    }
+
+    /// Credits available across all VCs of output `port`.
+    fn port_credits(&self, port: Direction) -> usize {
+        let first = port.index() * self.vcs;
+        self.out_credits[first..first + self.vcs].iter().sum()
     }
 
     /// Accepts a flit into an input VC buffer.
@@ -264,21 +336,31 @@ impl Router {
     /// # Panics
     ///
     /// Panics if the buffer is full — the upstream credit loop must make
-    /// that impossible; a panic here means a flow-control bug.
+    /// that impossible; a panic here means a flow-control bug — or if
+    /// `vc` is not one of the router's VCs.
     pub fn accept(&mut self, port: Direction, vc: usize, flit: Flit) {
-        let state = &mut self.inputs[port.index()][vc];
+        let q = self.queue(port, vc);
+        let s = self.inputs[q];
         assert!(
-            state.buffer.len() < self.buffer_depth,
+            s.len < self.buffer_depth,
             "buffer overflow at {} port {port} vc {vc}: credit protocol violated",
             self.coord
         );
-        state.buffer.push_back(flit);
+        let at = self.slot(q, s.head + s.len);
+        self.slots[at] = Some(flit);
+        self.inputs[q].len += 1;
+        self.buffered += 1;
     }
 
     /// Returns one credit for an output VC (the downstream router freed a
     /// slot).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vc` is not one of the router's VCs.
     pub fn return_credit(&mut self, port: Direction, vc: usize) {
-        let c = &mut self.out_credits[port.index()][vc];
+        let q = self.queue(port, vc);
+        let c = &mut self.out_credits[q];
         *c += 1;
         debug_assert!(*c <= self.buffer_depth, "credit overflow");
     }
@@ -286,130 +368,140 @@ impl Router {
     /// Executes one cycle of the router pipeline, returning the flits sent
     /// and the allocation activity (for power accounting).
     pub fn step(&mut self, mesh: Mesh) -> (Vec<SentFlit>, RouterActivity) {
+        let mut sent = Vec::new();
+        let activity = self.step_into(mesh, &mut sent);
+        (sent, activity)
+    }
+
+    /// [`Self::step`] appending the sent flits (at most one per output)
+    /// to a buffer the caller owns; allocation-free once `sent` has room
+    /// for five flits.
+    pub(crate) fn step_into(&mut self, mesh: Mesh, sent: &mut Vec<SentFlit>) -> RouterActivity {
         let mut activity = RouterActivity::default();
+        let vcs = self.vcs;
+        if self.buffered == 0 {
+            // Nothing to route, allocate or send: of the full pass only
+            // the output arbiter's rotation would change state.
+            self.rr_sa_out = self.rr_sa_out.wrapping_add(1);
+            return activity;
+        }
 
         // --- RC: heads at the front of an unrouted VC compute their port.
-        for port in 0..5 {
-            for vc in 0..self.vcs {
-                let state = &self.inputs[port][vc];
-                if state.route.is_none() {
-                    if let Some(front) = state.buffer.front() {
-                        if front.kind.is_head() {
-                            let candidates = self.routing.candidates(mesh, self.coord, front.dst);
-                            // Adaptive choice: prefer the candidate whose
-                            // output column has the most downstream
-                            // credits (a congestion-aware local greedy).
-                            // A routing function always offers at least
-                            // one port; an empty candidate set leaves the
-                            // flit parked instead of panicking.
-                            let Some(&dir) = candidates
-                                .iter()
-                                .max_by_key(|d| self.out_credits[d.index()].iter().sum::<usize>())
-                            else {
-                                continue;
-                            };
-                            self.inputs[port][vc].route = Some(dir);
-                            activity.route_computations += 1;
-                        }
-                    }
-                }
+        for q in 0..self.inputs.len() {
+            if self.inputs[q].route.is_some() {
+                continue;
             }
+            let Some(front) = self.front(q) else {
+                continue;
+            };
+            if !front.kind.is_head() {
+                continue;
+            }
+            let candidates = self.routing.candidates(mesh, self.coord, front.dst);
+            // Adaptive choice: prefer the candidate whose output column
+            // has the most downstream credits (a congestion-aware local
+            // greedy). A routing function always offers at least one
+            // port; an empty candidate set leaves the flit parked instead
+            // of panicking.
+            let Some(&dir) = candidates.iter().max_by_key(|&&d| self.port_credits(d)) else {
+                continue;
+            };
+            self.inputs[q].route = Some(dir);
+            activity.route_computations += 1;
         }
 
         // --- VA: routed VCs without a downstream VC bid for one.
-        let requesters: Vec<(usize, usize)> = (0..5)
-            .flat_map(|p| (0..self.vcs).map(move |v| (p, v)))
-            .filter(|&(p, v)| {
-                let s = &self.inputs[p][v];
-                s.route.is_some() && s.out_vc.is_none() && !s.buffer.is_empty()
-            })
-            .collect();
+        let mut requesters = std::mem::take(&mut self.va_requesters);
+        requesters.clear();
+        requesters.extend(
+            self.inputs
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.route.is_some() && s.out_vc.is_none() && s.len > 0)
+                .map(|(q, _)| q),
+        );
         if !requesters.is_empty() {
             let start = self.rr_va % requesters.len();
             for k in 0..requesters.len() {
-                let (p, v) = requesters[(start + k) % requesters.len()];
-                let Some(out) = self.inputs[p][v].route else {
+                let q = requesters[wrap(start + k, requesters.len())];
+                let Some(out) = self.inputs[q].route else {
                     continue; // requesters are routed by construction
                 };
-                let o = out.index();
                 // The Local output needs no VC ownership (ejection sink).
                 if out == Direction::Local {
-                    self.inputs[p][v].out_vc = Some(0);
+                    self.inputs[q].out_vc = Some(0);
                     activity.vc_allocations += 1;
                     continue;
                 }
-                if let Some(w) = (0..self.vcs).find(|&w| !self.out_vc_busy[o][w]) {
-                    self.out_vc_busy[o][w] = true;
-                    self.inputs[p][v].out_vc = Some(w);
+                let first = out.index() * vcs;
+                if let Some(w) = (0..vcs).find(|&w| !self.out_vc_busy[first + w]) {
+                    self.out_vc_busy[first + w] = true;
+                    self.inputs[q].out_vc = Some(w);
                     activity.vc_allocations += 1;
                 }
             }
             self.rr_va = self.rr_va.wrapping_add(1);
         }
+        self.va_requesters = requesters;
 
         // --- SA, input-first: each input port nominates one VC...
-        let mut nominations: Vec<Option<(usize, usize)>> = vec![None; 5];
-        #[allow(
-            clippy::needless_range_loop,
-            reason = "the port indexes both the nomination slot and the round-robin state"
-        )]
-        for port in 0..5 {
-            let start = self.rr_sa_in[port] % self.vcs;
-            for k in 0..self.vcs {
-                let vc = (start + k) % self.vcs;
-                let s = &self.inputs[port][vc];
-                let ready = !s.buffer.is_empty()
+        let mut nominations: [Option<usize>; 5] = [None; 5];
+        for (port, nomination) in nominations.iter_mut().enumerate() {
+            let start = wrap(self.rr_sa_in[port], vcs);
+            for k in 0..vcs {
+                let vc = wrap(start + k, vcs);
+                let s = &self.inputs[port * vcs + vc];
+                let ready = s.len > 0
                     && s.out_vc.is_some()
                     && s.route.is_some_and(|d| {
                         d == Direction::Local
-                            || s.out_vc.is_some_and(|w| self.out_credits[d.index()][w] > 0)
+                            || s.out_vc
+                                .is_some_and(|w| self.out_credits[d.index() * vcs + w] > 0)
                     });
                 if ready {
-                    nominations[port] = Some((port, vc));
+                    *nomination = Some(vc);
                     self.rr_sa_in[port] = vc + 1;
                     break;
                 }
             }
         }
-        // ...then each output port grants one nomination.
+        // ...then each output port grants one nomination, and the winner
+        // moves one flit (ST). A grant only touches its own input VC and
+        // output, so granting and traversing in one sweep sends the same
+        // flits in the same order as two separate passes.
         let mut granted_outputs = [false; 5];
-        let mut winners: Vec<(usize, usize)> = Vec::new();
         let start = self.rr_sa_out % 5;
         for k in 0..5 {
-            let port = (start + k) % 5;
-            if let Some((p, v)) = nominations[port] {
-                let Some(out) = self.inputs[p][v].route else {
-                    continue; // nominees are routed by construction
-                };
-                if !granted_outputs[out.index()] {
-                    granted_outputs[out.index()] = true;
-                    winners.push((p, v));
-                }
-            }
-        }
-        self.rr_sa_out = self.rr_sa_out.wrapping_add(1);
-
-        // --- ST: winners move one flit each.
-        let mut sent = Vec::with_capacity(winners.len());
-        for (p, v) in winners {
-            // Winners are routed, VC-allocated and non-empty by the SA
-            // stage above; a violated invariant skips the grant instead of
-            // aborting the simulation.
-            let (Some(out), Some(w)) = (self.inputs[p][v].route, self.inputs[p][v].out_vc) else {
+            let p = (start + k) % 5;
+            let Some(v) = nominations[p] else {
                 continue;
             };
-            let Some(flit) = self.inputs[p][v].buffer.pop_front() else {
+            let q = p * vcs + v;
+            let Some(out) = self.inputs[q].route else {
+                continue; // nominees are routed by construction
+            };
+            if granted_outputs[out.index()] {
+                continue;
+            }
+            granted_outputs[out.index()] = true;
+            // Winners are VC-allocated and non-empty by the SA stage
+            // above; a violated invariant skips the grant instead of
+            // aborting the simulation.
+            let Some(w) = self.inputs[q].out_vc else {
+                continue;
+            };
+            let Some(flit) = self.pop_front(q) else {
                 continue;
             };
             if out != Direction::Local {
-                self.out_credits[out.index()][w] -= 1;
+                self.out_credits[out.index() * vcs + w] -= 1;
             }
             if flit.kind.is_tail() {
                 if out != Direction::Local {
-                    self.out_vc_busy[out.index()][w] = false;
+                    self.out_vc_busy[out.index() * vcs + w] = false;
                 }
-                self.inputs[p][v].route = None;
-                self.inputs[p][v].out_vc = None;
+                self.inputs[q].route = None;
+                self.inputs[q].out_vc = None;
             }
             activity.switch_allocations += 1;
             sent.push(SentFlit {
@@ -420,7 +512,8 @@ impl Router {
                 in_vc: v,
             });
         }
-        (sent, activity)
+        self.rr_sa_out = self.rr_sa_out.wrapping_add(1);
+        activity
     }
 }
 
@@ -468,9 +561,7 @@ mod tests {
         let mut r = Router::new(Coord::new(1, 1), &cfg);
         // Exhaust all credits on the East output for every VC.
         for vc in 0..cfg.vcs {
-            for _ in 0..cfg.buffer_depth {
-                r.out_credits[Direction::East.index()][vc] = 0;
-            }
+            r.out_credits[Direction::East.index() * cfg.vcs + vc] = 0;
         }
         r.accept(Direction::West, 0, head_tail_flit(Coord::new(3, 1)));
         let (sent, _) = r.step(mesh);
@@ -548,10 +639,11 @@ mod tests {
         }
         // Head leaves, allocating a downstream VC...
         let _ = r.step(mesh);
-        assert!(r.out_vc_busy[Direction::East.index()].iter().any(|&b| b));
+        let east = Direction::East.index() * cfg.vcs..(Direction::East.index() + 1) * cfg.vcs;
+        assert!(r.out_vc_busy[east.clone()].iter().any(|&b| b));
         // ...tail leaves, releasing it.
         let _ = r.step(mesh);
-        assert!(r.out_vc_busy[Direction::East.index()].iter().all(|&b| !b));
+        assert!(r.out_vc_busy[east].iter().all(|&b| !b));
     }
 
     #[test]

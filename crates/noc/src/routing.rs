@@ -29,29 +29,33 @@ pub enum RoutingAlgorithm {
 impl RoutingAlgorithm {
     /// The productive output ports this algorithm permits at `here` for a
     /// packet to `dst`, in preference order. Always non-empty for
-    /// `here != dst`; contains exactly `Local` when arrived.
-    pub fn candidates(self, mesh: Mesh, here: Coord, dst: Coord) -> Vec<Direction> {
+    /// `here != dst`; contains exactly `Local` when arrived. Every
+    /// candidate set is a static slice, so routing allocates nothing.
+    pub fn candidates(self, mesh: Mesh, here: Coord, dst: Coord) -> &'static [Direction] {
+        use core::cmp::Ordering;
+        use Direction::{East, Local, North, South, West};
         if here == dst {
-            return vec![Direction::Local];
+            return &[Local];
         }
         match self {
-            RoutingAlgorithm::Xy => vec![mesh.xy_route(here, dst)],
-            RoutingAlgorithm::WestFirst => {
-                // Any westward component must be exhausted first.
-                if dst.x < here.x {
-                    return vec![Direction::West];
-                }
-                let mut out = Vec::with_capacity(2);
-                if dst.x > here.x {
-                    out.push(Direction::East);
-                }
-                if dst.y > here.y {
-                    out.push(Direction::North);
-                } else if dst.y < here.y {
-                    out.push(Direction::South);
-                }
-                out
-            }
+            RoutingAlgorithm::Xy => match mesh.xy_route(here, dst) {
+                North => &[North],
+                South => &[South],
+                East => &[East],
+                West => &[West],
+                Local => &[Local],
+            },
+            // Any westward component must be exhausted first; after that
+            // the east and north/south steps are both productive.
+            RoutingAlgorithm::WestFirst => match (dst.x.cmp(&here.x), dst.y.cmp(&here.y)) {
+                (Ordering::Less, _) => &[West],
+                (Ordering::Greater, Ordering::Greater) => &[East, North],
+                (Ordering::Greater, Ordering::Less) => &[East, South],
+                (Ordering::Greater, Ordering::Equal) => &[East],
+                (Ordering::Equal, Ordering::Greater) => &[North],
+                (Ordering::Equal, Ordering::Less) => &[South],
+                (Ordering::Equal, Ordering::Equal) => &[Local],
+            },
         }
     }
 
@@ -103,7 +107,7 @@ mod tests {
             for (hx, hy, dx, dy) in [(0, 0, 7, 7), (7, 7, 0, 0), (3, 5, 3, 1), (6, 2, 2, 2)] {
                 let here = Coord::new(hx, hy);
                 let dst = Coord::new(dx, dy);
-                for dir in algo.candidates(mesh(), here, dst) {
+                for &dir in algo.candidates(mesh(), here, dst) {
                     let next = mesh().neighbor(here, dir).expect("in mesh");
                     assert!(
                         next.hop_distance(dst) < here.hop_distance(dst),

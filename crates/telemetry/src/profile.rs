@@ -346,12 +346,10 @@ impl Profile {
             let parent = match n.get("parent") {
                 Some(Json::Null) | None => None,
                 Some(p) => {
-                    #[expect(
-                        clippy::cast_possible_truncation,
-                        reason = "`as` saturates a negative or NaN index to 0; the check below \
-                                  rejects any parent that does not precede the node"
-                    )]
-                    let p = p.as_num().ok_or_else(|| format!("node {i}: bad parent"))? as usize;
+                    let p: usize = p
+                        .as_num()
+                        .and_then(exact_integer)
+                        .ok_or_else(|| format!("node {i}: bad parent {p:?}"))?;
                     if p >= i {
                         return Err(format!("node {i}: parent {p} does not precede it"));
                     }
@@ -363,20 +361,26 @@ impl Profile {
                     .and_then(Json::as_num)
                     .ok_or_else(|| format!("node {i}: missing {key}"))
             };
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "counts are written as integers; `as` saturates anything else"
-            )]
+            let count = num("count")?;
             nodes.push(ProfileNode {
                 name,
                 parent,
-                count: num("count")? as u64,
+                count: exact_integer(count)
+                    .ok_or_else(|| format!("node {i}: count {count} is not a u64"))?,
                 total_s: num("total_s")?,
                 self_s: num("self_s")?,
             });
         }
         Ok(Profile { clock, nodes })
     }
+}
+
+/// A JSON number as an exact non-negative integer, or `None` when it is
+/// negative, fractional, non-finite or out of `T`'s range. `f64`'s
+/// `Display` never uses exponent notation, and the integer parser
+/// rejects a sign, a decimal point, `NaN`, `inf` and overflow.
+fn exact_integer<T: core::str::FromStr>(value: f64) -> Option<T> {
+    value.to_string().parse().ok()
 }
 
 #[cfg(test)]
@@ -587,6 +591,56 @@ mod tests {
         // Forward parent reference.
         let bad = "{\"srlr_profile_version\": 1, \"clock\": \"tick\", \"nodes\": [{\"name\": \"a\", \"parent\": 3, \"count\": 1, \"total_s\": 0, \"self_s\": 0}]}";
         assert!(Profile::from_json(bad).is_err());
+    }
+
+    /// A two-node profile whose second node has the given `parent` and
+    /// `count` fields.
+    fn child_doc(parent: &str, count: &str) -> String {
+        format!(
+            "{{\"srlr_profile_version\": 1, \"clock\": \"tick\", \"nodes\": [\
+             {{\"name\": \"a\", \"parent\": null, \"count\": 1, \"total_s\": 0, \"self_s\": 0}}, \
+             {{\"name\": \"b\", \"parent\": {parent}, \"count\": {count}, \"total_s\": 0, \"self_s\": 0}}]}}"
+        )
+    }
+
+    #[test]
+    fn profile_json_accepts_integral_parent_and_count() {
+        let p = Profile::from_json(&child_doc("0", "7")).expect("valid profile");
+        assert_eq!(p.nodes[1].parent, Some(0));
+        assert_eq!(p.nodes[1].count, 7);
+    }
+
+    #[test]
+    fn profile_json_rejects_a_negative_parent() {
+        assert!(Profile::from_json(&child_doc("-3.7", "1")).is_err());
+        assert!(Profile::from_json(&child_doc("-1", "1")).is_err());
+    }
+
+    #[test]
+    fn profile_json_rejects_a_fractional_parent() {
+        assert!(Profile::from_json(&child_doc("0.5", "1")).is_err());
+    }
+
+    #[test]
+    fn profile_json_rejects_an_out_of_range_parent() {
+        assert!(Profile::from_json(&child_doc("1e300", "1")).is_err());
+    }
+
+    #[test]
+    fn profile_json_rejects_a_negative_count() {
+        assert!(Profile::from_json(&child_doc("0", "-2")).is_err());
+    }
+
+    #[test]
+    fn profile_json_rejects_a_fractional_count() {
+        assert!(Profile::from_json(&child_doc("0", "2.9")).is_err());
+    }
+
+    #[test]
+    fn profile_json_rejects_an_out_of_range_count() {
+        // 2^64: one past the largest u64.
+        assert!(Profile::from_json(&child_doc("0", "18446744073709551616")).is_err());
+        assert!(Profile::from_json(&child_doc("0", "1e30")).is_err());
     }
 
     #[test]
